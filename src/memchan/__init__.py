@@ -7,60 +7,31 @@ coupling chain.  The package computes classical, quantum and
 entanglement-assisted rates under a mean photon number constraint, both from
 closed-form bounds and by numerical optimization over Gaussian encodings,
 along with the entanglement structure of the optimal seed states.
+
+The names below are the documented API; every other helper is importable
+from its submodule (``memchan.channel``, ``memchan.gaussian``, ...).
 """
 
+from .allocation import allocate_photons
 from .analytic import (
     AnalyticBound,
-    PerModeOptimum,
     asymptotic_ent_assisted,
     asymptotic_quantum,
     classical_lower_analytic,
     classical_lower_asymptotic,
     classical_upper_bound,
-    delta_term,
     local_classical_lower,
     m_parameter,
 )
-from .allocation import AllocationError, allocate_photons
-from .channel import (
-    ChannelConfig,
-    GlobalEnvMode,
-    OmegaSpectrum,
-    PassiveEnvSpec,
-    build_passive_env,
-    env_global_modes,
-    env_local_covariance,
-    local_effective_temperature,
-    omega_matrix,
-    omega_spectrum,
-    passive_env_modes,
-    passive_spec_from_config,
-)
-from .entanglement import (
-    SeedState,
-    env_min_ppt_symplectic,
-    env_separability_scan,
-    mean_reduced_entropy,
-    separability_boundary_temp,
-)
-from .gaussian import (
-    SingleModeCov,
-    TwoModeCov,
-    UnphysicalStateError,
-    g_entropy,
-    g_prime,
-    ppt_min_symplectic,
-    symplectic_eigenvalues,
-    von_neumann_entropy,
-)
+from .channel import ChannelConfig, GlobalEnvMode
+from .entanglement import SeedState, mean_reduced_entropy, separability_boundary_temp
+from .gaussian import g_entropy, symplectic_eigenvalues
 from .information import (
     EncodingParams,
     chi_mode,
     chi_mode_gradient,
     coherent_information,
     coherent_information_gradient,
-    coherent_information_rotated,
-    holevo_chi,
     quantum_mutual_information,
     quantum_mutual_information_gradient,
 )
@@ -73,44 +44,21 @@ from .optimize import (
     maximize_quantum,
     maximize_quantum_local,
 )
-from .scan import (
-    COLUMNS,
-    FIGURE_IDS,
-    QUANTITIES,
-    ScanSpec,
-    emit_figure_data,
-    figure_specs,
-    format_rows,
-    run_scan,
-    write_rows,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AllocationError",
     "AnalyticBound",
-    "COLUMNS",
     "ChannelConfig",
     "EncodingParams",
-    "FIGURE_IDS",
     "GlobalEnvMode",
-    "OmegaSpectrum",
     "OptResult",
-    "PassiveEnvSpec",
-    "PerModeOptimum",
-    "QUANTITIES",
-    "ScanSpec",
     "SeedState",
-    "SingleModeCov",
-    "TwoModeCov",
-    "UnphysicalStateError",
     "allocate_photons",
     "asymptotic_ent_assisted",
     "asymptotic_quantum",
     "brute_force_oracle",
-    "build_passive_env",
     "chi_mode",
     "chi_mode_gradient",
     "classical_lower_analytic",
@@ -118,20 +66,8 @@ __all__ = [
     "classical_upper_bound",
     "coherent_information",
     "coherent_information_gradient",
-    "coherent_information_rotated",
-    "delta_term",
-    "emit_figure_data",
-    "env_global_modes",
-    "env_local_covariance",
-    "env_min_ppt_symplectic",
-    "env_separability_scan",
-    "figure_specs",
-    "format_rows",
     "g_entropy",
-    "g_prime",
-    "holevo_chi",
     "local_classical_lower",
-    "local_effective_temperature",
     "m_parameter",
     "maximize_classical",
     "maximize_ent_assisted",
@@ -139,16 +75,8 @@ __all__ = [
     "maximize_quantum",
     "maximize_quantum_local",
     "mean_reduced_entropy",
-    "omega_matrix",
-    "omega_spectrum",
-    "passive_env_modes",
-    "passive_spec_from_config",
-    "ppt_min_symplectic",
     "quantum_mutual_information",
     "quantum_mutual_information_gradient",
-    "run_scan",
     "separability_boundary_temp",
     "symplectic_eigenvalues",
-    "von_neumann_entropy",
-    "write_rows",
 ]

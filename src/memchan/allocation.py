@@ -64,11 +64,11 @@ def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, max(fc, fd)
 
 
-def _pairwise_polish(fns, x: np.ndarray, max_sweeps: int = 6) -> np.ndarray:
+def _pairwise_polish(fns, x: np.ndarray) -> np.ndarray:
     x = x.copy()
     n = len(fns)
     vals = [fns[i](x[i]) for i in range(n)]
-    for _ in range(max_sweeps):
+    for _ in range(6):
         improved = False
         for i in range(n):
             for j in range(i + 1, n):
@@ -87,15 +87,15 @@ def _pairwise_polish(fns, x: np.ndarray, max_sweeps: int = 6) -> np.ndarray:
     return x
 
 
-def allocate_photons(per_mode_value_fn, n: int, nbar: float, *, return_info: bool = False):
+def allocate_photons(fns, n: int, nbar: float, *, return_info: bool = False):
     """Allocate the photon budget n * nbar across n modes.
 
     Parameters
     ----------
-    per_mode_value_fn : callable or sequence of callables
-        Value of spending x photons on a mode.  A single callable is shared
-        by all modes; a sequence supplies one function per mode.  Functions
-        must be defined on [0, n * nbar] and should be nondecreasing.
+    fns : sequence of callables
+        ``fns[i](x)`` is the value of spending x photons on mode i.
+        Functions must be defined on [0, n * nbar] and should be
+        nondecreasing.
     n : int
         Number of modes.
     nbar : float
@@ -113,12 +113,9 @@ def allocate_photons(per_mode_value_fn, n: int, nbar: float, *, return_info: boo
         raise AllocationError(f"need at least one mode, got n={n}")
     if nbar < 0.0:
         raise AllocationError(f"photon budget must be >= 0, got nbar={nbar}")
-    if callable(per_mode_value_fn):
-        fns = [per_mode_value_fn] * n
-    else:
-        fns = list(per_mode_value_fn)
-        if len(fns) != n:
-            raise AllocationError(f"expected {n} value functions, got {len(fns)}")
+    fns = list(fns)
+    if len(fns) != n:
+        raise AllocationError(f"expected {n} value functions, got {len(fns)}")
 
     budget = n * nbar
     info = {"fallback": False, "mu": 0.0}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .allocation import allocate_photons
+from .allocation import _golden_max, allocate_photons
 from .channel import ChannelConfig, GlobalEnvMode, env_global_modes, local_effective_temperature
 from .gaussian import g_entropy
 
@@ -206,24 +206,36 @@ def delta_term(nbar: float, eta: float, temp: float) -> float:
 def asymptotic_quantum(n: int, nbar: float, eta: float, temp: float) -> float:
     """Infinite-squeezing limit of the quantum capacity.
 
-    Zero for eta < 1/2 (anti-degradable region) and for even n; for odd n
-    only the middle mode transmits, contributing delta/n.
+    Zero for eta < 1/2 (anti-degradable region) and for even n.  For odd n
+    the squeezed pairs carry no quantum rate, so the whole budget n * nbar
+    goes to the unsqueezed middle mode, contributing delta(n * nbar)/n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if eta < 0.5 or n % 2 == 0:
         return 0.0
-    return delta_term(nbar, eta, temp) / n
+    return delta_term(n * nbar, eta, temp) / n
 
 
 def asymptotic_ent_assisted(n: int, nbar: float, eta: float, temp: float) -> float:
     """Infinite-squeezing limit of the entanglement-assisted capacity.
 
-    g(nbar) for even n; odd n adds the middle mode's delta/n.
+    g(nbar) for even n.  For odd n the n - 1 squeezed modes each give
+    g(x) at x photons and the unsqueezed middle mode gives g(y) + delta(y)
+    at y photons; the budget is split optimally, maximizing
+    [(n-1) g((n nbar - y)/(n-1)) + g(y) + delta(y)] / n over y in
+    [0, n nbar].  That objective is concave in y.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    base = g_entropy(nbar)
     if n % 2 == 0:
-        return base
-    return base + delta_term(nbar, eta, temp) / n
+        return g_entropy(nbar)
+    if n == 1:
+        return g_entropy(nbar) + delta_term(nbar, eta, temp)
+    budget = n * nbar
+
+    def total(y):
+        return (n - 1) * g_entropy((budget - y) / (n - 1)) + g_entropy(y) + delta_term(y, eta, temp)
+
+    _, best = _golden_max(total, 0.0, budget, 1e-10 * (1.0 + budget))
+    return best / n

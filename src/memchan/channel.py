@@ -15,7 +15,7 @@ s_j = s * lambda_j.  Most capacity computations happen in that basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +27,9 @@ __all__ = [
     "PassiveEnvSpec",
     "omega_matrix",
     "omega_spectrum",
-    "omega_spectrum_from_matrix",
     "env_global_modes",
     "env_local_covariance",
     "local_effective_temperature",
-    "beamsplitter_output",
     "build_passive_env",
     "passive_env_modes",
     "passive_spec_from_config",
@@ -44,11 +42,11 @@ MAX_MODES = 64
 class ChannelConfig:
     """Channel parameters.
 
-    n     : number of uses (environment modes), 1 <= n <= max_modes
+    n     : number of uses (environment modes), 1 <= n <= MAX_MODES
     eta   : beamsplitter transmissivity, 0 <= eta <= 1
-    s     : collective squeezing strength (any sign)
-    temp  : mean thermal photon number T of each environment mode, >= 0
-    nbar  : mean photon number constraint N per channel use, >= 0
+    s     : collective squeezing strength (any sign, finite)
+    temp  : mean thermal photon number T of each environment mode, finite, >= 0
+    nbar  : mean photon number constraint N per channel use, finite, >= 0
     """
 
     n: int
@@ -56,21 +54,21 @@ class ChannelConfig:
     s: float
     temp: float = 0.0
     nbar: float = 0.0
-    max_modes: int = field(default=MAX_MODES, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
             raise ValueError(f"n must be an integer, got {self.n!r}")
-        if not 1 <= self.n <= self.max_modes:
-            raise ValueError(f"n must be in 1..{self.max_modes}, got {self.n}")
+        if not 1 <= self.n <= MAX_MODES:
+            raise ValueError(f"n must be in 1..{MAX_MODES}, got {self.n}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
         if not math.isfinite(self.s):
             raise ValueError(f"s must be finite, got {self.s}")
-        if self.temp < 0.0:
-            raise ValueError(f"temp must be >= 0, got {self.temp}")
-        if self.nbar < 0.0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+        # NaN passes every ordered comparison, so finiteness is checked first
+        if not (math.isfinite(self.temp) and self.temp >= 0.0):
+            raise ValueError(f"temp must be finite and >= 0, got {self.temp}")
+        if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
+            raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
 
 
 @dataclass(frozen=True)
@@ -117,22 +115,6 @@ def omega_spectrum(n: int) -> OmegaSpectrum:
     return OmegaSpectrum(lambdas=lam, vectors=vec)
 
 
-def omega_spectrum_from_matrix(omega: np.ndarray) -> OmegaSpectrum:
-    """Spectrum of a user-supplied symmetric coupling matrix.
-
-    Accepts any real symmetric matrix in place of the nearest-neighbour
-    default; eigenvalues are sorted in descending order.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
-        raise ValueError("coupling matrix must be square")
-    if not np.allclose(omega, omega.T, atol=1e-10):
-        raise ValueError("coupling matrix must be symmetric")
-    vals, vecs = np.linalg.eigh(omega)
-    order = np.argsort(vals)[::-1]
-    return OmegaSpectrum(lambdas=vals[order], vectors=vecs[:, order].T)
-
-
 @dataclass(frozen=True)
 class GlobalEnvMode:
     """Environment mode in the decoupling basis.
@@ -149,27 +131,21 @@ class GlobalEnvMode:
         return np.diag([v * math.exp(self.s), v * math.exp(-self.s)])
 
 
-def env_global_modes(cfg: ChannelConfig, spectrum: OmegaSpectrum | None = None) -> list[GlobalEnvMode]:
+def env_global_modes(cfg: ChannelConfig) -> list[GlobalEnvMode]:
     """Per-mode environment parameters in the decoupling basis."""
-    if spectrum is None:
-        spectrum = omega_spectrum(cfg.n)
-    elif spectrum.n != cfg.n:
-        raise ValueError("spectrum size does not match cfg.n")
+    spectrum = omega_spectrum(cfg.n)
     return [
         GlobalEnvMode(index=j + 1, s=cfg.s * spectrum.lambdas[j], temp=cfg.temp)
         for j in range(cfg.n)
     ]
 
 
-def env_local_covariance(cfg: ChannelConfig, spectrum: OmegaSpectrum | None = None) -> np.ndarray:
+def env_local_covariance(cfg: ChannelConfig) -> np.ndarray:
     """Environment covariance in the physical mode basis, block ordering.
 
     Returns the 2n x 2n matrix (temp + 1/2) (e^{s Omega} (+) e^{-s Omega}).
     """
-    if spectrum is None:
-        spectrum = omega_spectrum(cfg.n)
-    elif spectrum.n != cfg.n:
-        raise ValueError("spectrum size does not match cfg.n")
+    spectrum = omega_spectrum(cfg.n)
     r = spectrum.vectors
     v = cfg.temp + 0.5
     sq = r.T @ np.diag(np.exp(cfg.s * spectrum.lambdas)) @ r
@@ -181,7 +157,7 @@ def env_local_covariance(cfg: ChannelConfig, spectrum: OmegaSpectrum | None = No
     return out
 
 
-def local_effective_temperature(cfg: ChannelConfig, k: int, spectrum: OmegaSpectrum | None = None) -> float:
+def local_effective_temperature(cfg: ChannelConfig, k: int) -> float:
     """Effective thermal photon number seen by the single physical mode ``k``.
 
     T_eff(k) = (temp + 1/2) sum_j v_{j,k}^2 e^{s_j} - 1/2, the q-variance of
@@ -189,30 +165,12 @@ def local_effective_temperature(cfg: ChannelConfig, k: int, spectrum: OmegaSpect
     equals ``temp`` at s = 0 and grows with the squeezing |s|.  ``k`` is
     1-based.
     """
-    if spectrum is None:
-        spectrum = omega_spectrum(cfg.n)
-    elif spectrum.n != cfg.n:
-        raise ValueError("spectrum size does not match cfg.n")
+    spectrum = omega_spectrum(cfg.n)
     if not 1 <= k <= cfg.n:
         raise ValueError(f"mode index must be in 1..{cfg.n}, got {k}")
     weights = spectrum.vectors[:, k - 1] ** 2
     qvar = (cfg.temp + 0.5) * float(weights @ np.exp(cfg.s * spectrum.lambdas))
     return qvar - 0.5
-
-
-def beamsplitter_output(sigma_in: np.ndarray, env: np.ndarray, eta: float) -> np.ndarray:
-    """Output covariance eta * sigma_in + (1 - eta) * env.
-
-    Both covariances must share shape and ordering; works for any number of
-    modes since the beamsplitter acts mode by mode.
-    """
-    sigma_in = np.asarray(sigma_in, dtype=float)
-    env = np.asarray(env, dtype=float)
-    if sigma_in.shape != env.shape:
-        raise ValueError("input and environment covariance shapes differ")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    return eta * sigma_in + (1.0 - eta) * env
 
 
 @dataclass(frozen=True)
@@ -229,7 +187,7 @@ class PassiveEnvSpec:
     d_q: np.ndarray
     d_p: np.ndarray
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         n = x.shape[0]
@@ -237,9 +195,9 @@ class PassiveEnvSpec:
             raise ValueError("x and y must be square blocks of equal size")
         if np.shape(self.d_q) != (n,) or np.shape(self.d_p) != (n,):
             raise ValueError("d_q and d_p must be length-n diagonals")
-        if np.max(np.abs(x @ x.T + y @ y.T - np.eye(n))) > tol:
+        if np.max(np.abs(x @ x.T + y @ y.T - np.eye(n))) > 1e-10:
             raise ValueError("blocks fail X X^T + Y Y^T = 1")
-        if np.max(np.abs(x @ y.T - y @ x.T)) > tol:
+        if np.max(np.abs(x @ y.T - y @ x.T)) > 1e-10:
             raise ValueError("blocks fail X Y^T - Y X^T = 0")
         dq = np.asarray(self.d_q, dtype=float)
         dp = np.asarray(self.d_p, dtype=float)
@@ -286,12 +244,9 @@ def passive_env_modes(spec: PassiveEnvSpec) -> list[GlobalEnvMode]:
     return modes
 
 
-def passive_spec_from_config(cfg: ChannelConfig, spectrum: OmegaSpectrum | None = None) -> PassiveEnvSpec:
+def passive_spec_from_config(cfg: ChannelConfig) -> PassiveEnvSpec:
     """Passive-form description of the standard collective environment."""
-    if spectrum is None:
-        spectrum = omega_spectrum(cfg.n)
-    elif spectrum.n != cfg.n:
-        raise ValueError("spectrum size does not match cfg.n")
+    spectrum = omega_spectrum(cfg.n)
     v = cfg.temp + 0.5
     s_j = cfg.s * spectrum.lambdas
     return PassiveEnvSpec(

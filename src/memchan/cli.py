@@ -112,6 +112,9 @@ def _run_figure(args) -> int:
             jobs=args.jobs,
             progress=sys.stderr,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

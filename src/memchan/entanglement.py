@@ -23,7 +23,6 @@ from .information import EncodingParams
 
 __all__ = [
     "SeedState",
-    "seed_global_covariance",
     "seed_local_covariance",
     "mean_reduced_entropy",
     "env_two_mode_cov",
@@ -67,19 +66,6 @@ class SeedState:
     @property
     def n(self) -> int:
         return len(self.t)
-
-
-def seed_global_covariance(seed: SeedState) -> np.ndarray:
-    """2n x 2n seed covariance in the decoupling basis, block ordering."""
-    t = np.asarray(seed.t)
-    r = np.asarray(seed.r)
-    dq = (t + 0.5) * np.exp(r)
-    dp = (t + 0.5) * np.exp(-r)
-    n = seed.n
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = np.diag(dq)
-    out[n:, n:] = np.diag(dp)
-    return out
 
 
 def seed_local_covariance(seed: SeedState) -> np.ndarray:
@@ -143,7 +129,18 @@ def env_min_ppt_symplectic(s: float, temp: float) -> float:
     return ppt_min_symplectic(env_two_mode_cov(s, temp))
 
 
-def separability_boundary_temp(s: float, t_hi: float = 64.0, tol: float = 1e-12) -> float:
+def _bisect_boundary(s: float, lo: float, hi: float) -> float:
+    """Crossing of nu-tilde(T) = 1/2 in [lo, hi], entangled at lo, separable at hi."""
+    while hi - lo > 1e-12 * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if env_min_ppt_symplectic(s, mid) < 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def separability_boundary_temp(s: float) -> float:
     """Temperature where the two-use environment turns separable.
 
     Bisects nu-tilde(T) - 1/2, which is increasing in T; returns 0.0 at
@@ -151,18 +148,12 @@ def separability_boundary_temp(s: float, t_hi: float = 64.0, tol: float = 1e-12)
     """
     if env_min_ppt_symplectic(s, 0.0) >= 0.5:
         return 0.0
-    lo, hi = 0.0, t_hi
+    lo, hi = 0.0, 64.0
     while env_min_ppt_symplectic(s, hi) < 0.5:
         lo, hi = hi, 2.0 * hi
         if hi > 1e9:
             raise ValueError(f"no separability crossing found below T={lo}")
-    while hi - lo > tol * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if env_min_ppt_symplectic(s, mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_boundary(s, lo, hi)
 
 
 def env_separability_scan(s_grid, temp_grid) -> np.ndarray:
@@ -189,12 +180,5 @@ def env_separability_scan(s_grid, temp_grid) -> np.ndarray:
             continue
         if env_min_ppt_symplectic(s, t_hi) < 0.5:
             continue
-        lo, hi = t_lo, t_hi
-        while hi - lo > 1e-12 * (1.0 + hi):
-            mid = 0.5 * (lo + hi)
-            if env_min_ppt_symplectic(s, mid) < 0.5:
-                lo = mid
-            else:
-                hi = mid
-        points.append((s, 0.5 * (lo + hi)))
+        points.append((s, _bisect_boundary(s, t_lo, t_hi)))
     return np.array(points).reshape(-1, 2)

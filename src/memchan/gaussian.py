@@ -22,7 +22,6 @@ _LOG2 = math.log(2.0)
 
 __all__ = [
     "UnphysicalStateError",
-    "SingleModeCov",
     "TwoModeCov",
     "g_entropy",
     "g_prime",
@@ -33,7 +32,6 @@ __all__ = [
     "ppt_min_symplectic",
     "reduce_to_mode",
     "interleaved_to_block",
-    "block_to_interleaved",
 ]
 
 
@@ -63,29 +61,6 @@ def g_prime(x: float) -> float:
     if x <= 0.0:
         raise ValueError(f"g_prime needs x > 0, got {x}")
     return math.log1p(1.0 / x) / _LOG2
-
-
-@dataclass(frozen=True)
-class SingleModeCov:
-    """Squeezed thermal single-mode covariance diag((t+1/2)e^r, (t+1/2)e^-r).
-
-    ``t`` is the mean thermal photon number (t >= 0) and ``r`` the squeezing
-    parameter of the q quadrature.
-    """
-
-    t: float
-    r: float
-
-    def __post_init__(self) -> None:
-        if self.t < -1e-12:
-            raise UnphysicalStateError(f"thermal photon number must be >= 0, got {self.t}")
-
-    def matrix(self) -> np.ndarray:
-        v = self.t + 0.5
-        return np.diag([v * math.exp(self.r), v * math.exp(-self.r)])
-
-    def symplectic_eigenvalue(self) -> float:
-        return self.t + 0.5
 
 
 @dataclass(frozen=True)
@@ -125,21 +100,7 @@ def interleaved_to_block(mat: np.ndarray) -> np.ndarray:
     dim = mat.shape[0]
     if dim % 2 or mat.shape != (dim, dim):
         raise ValueError("covariance matrix must be 2m x 2m")
-    m = dim // 2
     perm = np.r_[0:dim:2, 1:dim:2]
-    assert len(perm) == 2 * m
-    return mat[np.ix_(perm, perm)]
-
-
-def block_to_interleaved(mat: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`interleaved_to_block`."""
-    dim = mat.shape[0]
-    if dim % 2 or mat.shape != (dim, dim):
-        raise ValueError("covariance matrix must be 2m x 2m")
-    m = dim // 2
-    perm = np.empty(dim, dtype=int)
-    perm[0:dim:2] = np.arange(m)
-    perm[1:dim:2] = np.arange(m, dim)
     return mat[np.ix_(perm, perm)]
 
 

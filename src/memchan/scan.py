@@ -73,12 +73,12 @@ class ScanSpec:
         object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))
         if not self.etas or not self.temps or not self.s_values:
             raise ValueError("scan grids must be nonempty")
+        if not np.isfinite(self.etas + self.temps + self.s_values).all():
+            raise ValueError("scan grids must be finite")
         if any(not 0.0 <= e <= 1.0 for e in self.etas):
             raise ValueError("eta grid must lie in [0, 1]")
         if any(t < 0.0 for t in self.temps):
             raise ValueError("temperature grid must be nonnegative")
-        if self.nbar < 0:
-            raise ValueError("photon budget must be nonnegative")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         # n and nbar range checks are delegated to ChannelConfig

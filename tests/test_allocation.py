@@ -11,7 +11,7 @@ from memchan.gaussian import g_entropy, g_prime
 
 class TestBasicProperties:
     def test_identical_modes_split_evenly(self):
-        alloc = allocate_photons(lambda x: g_entropy(0.9 * x), 5, 3.0)
+        alloc = allocate_photons([lambda x: g_entropy(0.9 * x)] * 5, 5, 3.0)
         assert alloc.shape == (5,)
         assert np.allclose(alloc, 3.0, atol=1e-6)
         assert math.fsum(alloc) == pytest.approx(15.0, abs=1e-9)
@@ -27,7 +27,7 @@ class TestBasicProperties:
         assert math.fsum(alloc) == pytest.approx(6.0, abs=1e-9)
 
     def test_zero_budget(self):
-        alloc = allocate_photons(lambda x: g_entropy(x), 4, 0.0)
+        alloc = allocate_photons([g_entropy] * 4, 4, 0.0)
         assert np.array_equal(alloc, np.zeros(4))
 
 
@@ -60,7 +60,7 @@ class TestClosedFormOracle:
 class TestInfoAndErrors:
     def test_return_info_concave_path(self):
         alloc, info = allocate_photons(
-            lambda x: g_entropy(0.9 * x), 3, 2.0, return_info=True
+            [lambda x: g_entropy(0.9 * x)] * 3, 3, 2.0, return_info=True
         )
         assert not info["fallback"]
         assert info["mu"] > 0.0
@@ -76,8 +76,8 @@ class TestInfoAndErrors:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(AllocationError):
-            allocate_photons(lambda x: x, 0, 1.0)
+            allocate_photons([], 0, 1.0)
         with pytest.raises(AllocationError):
-            allocate_photons(lambda x: x, 2, -1.0)
+            allocate_photons([lambda x: x] * 2, 2, -1.0)
         with pytest.raises(AllocationError):
             allocate_photons([lambda x: x], 2, 1.0)

@@ -12,7 +12,6 @@ from memchan.entanglement import (
     env_separability_scan,
     env_two_mode_cov,
     mean_reduced_entropy,
-    seed_global_covariance,
     seed_local_covariance,
     separability_boundary_temp,
 )
@@ -51,14 +50,6 @@ class TestSeedState:
         assert seed.n == 4
         assert seed.t == params.t
         assert seed.r == params.r
-
-    def test_global_covariance_is_normal_mode_diagonal(self):
-        basis = omega_spectrum(3).vectors
-        seed = SeedState(t=(0.3, 0.0, 0.1), r=(0.4, -0.2, 0.0), basis=basis)
-        cov = seed_global_covariance(seed)
-        want_q = [(t + 0.5) * math.exp(r) for t, r in zip(seed.t, seed.r)]
-        want_p = [(t + 0.5) * math.exp(-r) for t, r in zip(seed.t, seed.r)]
-        assert np.allclose(cov, np.diag(want_q + want_p))
 
 
 class TestReducedEntropy:

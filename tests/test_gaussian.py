@@ -8,10 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 from memchan.gaussian import (
-    SingleModeCov,
     TwoModeCov,
     UnphysicalStateError,
-    block_to_interleaved,
     g_entropy,
     g_prime,
     interleaved_to_block,
@@ -92,18 +90,10 @@ class TestGPrime:
 
 class TestContainers:
     def test_single_mode_matrix_and_nu(self):
-        cov = SingleModeCov(t=0.7, r=0.4)
-        mat = cov.matrix()
-        assert mat[0, 0] == pytest.approx(1.2 * math.exp(0.4), rel=1e-15)
-        assert mat[1, 1] == pytest.approx(1.2 * math.exp(-0.4), rel=1e-15)
-        assert mat[0, 1] == 0.0
-        assert cov.symplectic_eigenvalue() == pytest.approx(1.2)
+        # squeezed thermal state (t, r) = (0.7, 0.4): nu = t + 1/2
+        mat = np.diag([1.2 * math.exp(0.4), 1.2 * math.exp(-0.4)])
         nus = symplectic_eigenvalues(mat)
         assert nus[0] == pytest.approx(1.2, rel=1e-12)
-
-    def test_single_mode_rejects_negative_temp(self):
-        with pytest.raises(UnphysicalStateError):
-            SingleModeCov(t=-0.2, r=0.0)
 
     def test_two_mode_matrix_layout(self):
         a = np.array([[2.0, 0.1], [0.1, 1.5]])
@@ -121,13 +111,6 @@ class TestContainers:
 
 
 class TestOrderings:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(3)
-        mat = rng.normal(size=(8, 8))
-        mat = mat + mat.T
-        assert np.array_equal(block_to_interleaved(interleaved_to_block(mat)), mat)
-        assert np.array_equal(interleaved_to_block(block_to_interleaved(mat)), mat)
-
     def test_interleaved_to_block_indexing(self):
         # entry (q1, p2) must move from [0, 3] to [0, 1 + m]
         mat = np.zeros((4, 4))
@@ -208,7 +191,8 @@ class TestPurification:
     def test_marginal_and_purity(self):
         for t, r in ((0.0, 0.0), (0.8, 0.0), (0.0, 1.1), (2.5, -0.7)):
             pur = purify_single_mode(t, r)
-            assert np.allclose(pur.a, SingleModeCov(t, r).matrix(), atol=1e-12)
+            want = np.diag([(t + 0.5) * math.exp(r), (t + 0.5) * math.exp(-r)])
+            assert np.allclose(pur.a, want, atol=1e-12)
             nus = pur.symplectic_eigenvalues()
             assert np.max(np.abs(nus - 0.5)) < 1e-12
 

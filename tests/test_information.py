@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from memchan.channel import GlobalEnvMode, beamsplitter_output
+from memchan.channel import GlobalEnvMode
 from memchan.gaussian import (
     g_entropy,
     interleaved_to_block,
@@ -29,7 +29,7 @@ from memchan.information import (
 def dense_chi(t, r, c_q, c_p, mode, eta):
     """Holevo quantity from explicit 2x2 output covariances."""
     seed = np.diag([(t + 0.5) * math.exp(r), (t + 0.5) * math.exp(-r)])
-    noise = beamsplitter_output(seed, mode.covariance(), eta)
+    noise = eta * seed + (1.0 - eta) * mode.covariance()
     avg = noise + eta * np.diag([c_q, c_p])
     return von_neumann_entropy(avg) - von_neumann_entropy(noise)
 

@@ -59,6 +59,17 @@ class TestScanSpec:
                 s_min=0.0, s_max=1.0, s_steps=0,
             )
 
+    def test_rejects_nonfinite_grid_entries(self):
+        # only the first grid value reaches ChannelConfig's own checks
+        for grids in (
+            {"etas": (0.9,), "temps": (0.0, float("nan")), "s_values": (0.0,)},
+            {"etas": (0.9,), "temps": (0.0, float("inf")), "s_values": (0.0,)},
+            {"etas": (0.9,), "temps": (0.0,), "s_values": (0.0, float("inf"))},
+            {"etas": (0.9, float("nan")), "temps": (0.0,), "s_values": (0.0,)},
+        ):
+            with pytest.raises(ValueError):
+                ScanSpec(quantity="quantum", n=4, nbar=8.0, **grids)
+
     def test_separability_requires_two_modes(self):
         with pytest.raises(ValueError):
             ScanSpec(
@@ -208,7 +219,14 @@ class TestCli:
         assert err.value.code == 2
 
     def test_invalid_channel_exits_2(self, capsys):
-        code = main(["scan", "--quantity", "quantum", "--n", "2", "--eta", "1.5"])
+        for bad in (["--eta", "1.5"], ["--temp", "nan"], ["--temp", "0,inf"], ["--nbar", "nan"],
+                    ["--s-min", "nan"]):
+            code = main(["scan", "--quantity", "quantum", "--n", "2", "--s-steps", "1", *bad])
+            assert code == 2
+            assert "error:" in capsys.readouterr().err
+
+    def test_figure_without_s_points_exits_2(self, tmp_path, capsys):
+        code = main(["figure", "3a", "--s-steps", "0", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
