@@ -37,7 +37,6 @@ from .information import (
 )
 from .optimize import (
     OptResult,
-    brute_force_oracle,
     maximize_classical,
     maximize_ent_assisted,
     maximize_ent_assisted_local,
@@ -58,7 +57,6 @@ __all__ = [
     "allocate_photons",
     "asymptotic_ent_assisted",
     "asymptotic_quantum",
-    "brute_force_oracle",
     "chi_mode",
     "chi_mode_gradient",
     "classical_lower_analytic",

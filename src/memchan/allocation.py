@@ -142,8 +142,6 @@ def allocate_photons(fns, n: int, nbar: float, *, return_info: bool = False):
     if concave and mu_hi > 0.0:
         mu_lo = 0.0
         # bisection keeps total(mu_lo) >= budget >= total(mu_hi)
-        if sum(_x_at_marginal(fn, mu_hi, budget, h, 1e-12 * budget) for fn in fns) >= budget:
-            mu_lo = mu_hi
         while mu_hi - mu_lo > 1e-10 * (1.0 + mu_hi):
             mid = 0.5 * (mu_lo + mu_hi)
             tot = sum(_x_at_marginal(fn, mid, budget, h, 1e-12 * budget) for fn in fns)

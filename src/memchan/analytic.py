@@ -153,16 +153,29 @@ def classical_lower_analytic(cfg: ChannelConfig) -> AnalyticBound:
 def classical_lower_asymptotic(n: int, nbar: float, eta: float, temp: float) -> float:
     """Infinite-squeezing limit of the classical lower bound.
 
-    log2(2*nbar + 1) for even n; for odd n the unsqueezed middle mode
-    contributes its memoryless rate instead.
+    log2(2*nbar + 1) for even n.  For odd n the n - 1 squeezed modes each
+    give log2(2x + 1) at x photons and the unsqueezed middle mode gives its
+    memoryless rate g(eta y + (1-eta) temp) - g((1-eta) temp) at y photons;
+    the budget is split optimally over y in [0, n nbar], where the total is
+    concave in y.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    squeezed = math.log2(2.0 * nbar + 1.0)
     if n % 2 == 0:
-        return squeezed
-    middle = g_entropy(eta * nbar + (1.0 - eta) * temp) - g_entropy((1.0 - eta) * temp)
-    return (n - 1) / n * squeezed + middle / n
+        return math.log2(2.0 * nbar + 1.0)
+
+    def middle(y):
+        return g_entropy(eta * y + (1.0 - eta) * temp) - g_entropy((1.0 - eta) * temp)
+
+    if n == 1:
+        return middle(nbar)
+    budget = n * nbar
+
+    def total(y):
+        return (n - 1) * math.log2(2.0 * (budget - y) / (n - 1) + 1.0) + middle(y)
+
+    _, best = _golden_max(total, 0.0, budget, 1e-10 * (1.0 + budget))
+    return best / n
 
 
 def local_classical_lower(cfg: ChannelConfig) -> float:

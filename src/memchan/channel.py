@@ -24,15 +24,9 @@ __all__ = [
     "ChannelConfig",
     "OmegaSpectrum",
     "GlobalEnvMode",
-    "PassiveEnvSpec",
-    "omega_matrix",
     "omega_spectrum",
     "env_global_modes",
-    "env_local_covariance",
     "local_effective_temperature",
-    "build_passive_env",
-    "passive_env_modes",
-    "passive_spec_from_config",
 ]
 
 MAX_MODES = 64
@@ -90,17 +84,8 @@ class OmegaSpectrum:
         return len(self.lambdas)
 
 
-def omega_matrix(n: int) -> np.ndarray:
-    """Nearest-neighbour coupling matrix: ones on the first off-diagonals."""
-    omega = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    omega[idx, idx + 1] = 1.0
-    omega[idx + 1, idx] = 1.0
-    return omega
-
-
 def omega_spectrum(n: int) -> OmegaSpectrum:
-    """Closed-form spectrum of :func:`omega_matrix` for ``n`` modes."""
+    """Closed-form spectrum of the n-mode coupling matrix Omega."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     lam = np.empty(n)
@@ -140,23 +125,6 @@ def env_global_modes(cfg: ChannelConfig) -> list[GlobalEnvMode]:
     ]
 
 
-def env_local_covariance(cfg: ChannelConfig) -> np.ndarray:
-    """Environment covariance in the physical mode basis, block ordering.
-
-    Returns the 2n x 2n matrix (temp + 1/2) (e^{s Omega} (+) e^{-s Omega}).
-    """
-    spectrum = omega_spectrum(cfg.n)
-    r = spectrum.vectors
-    v = cfg.temp + 0.5
-    sq = r.T @ np.diag(np.exp(cfg.s * spectrum.lambdas)) @ r
-    sp = r.T @ np.diag(np.exp(-cfg.s * spectrum.lambdas)) @ r
-    n = cfg.n
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = v * sq
-    out[n:, n:] = v * sp
-    return out
-
-
 def local_effective_temperature(cfg: ChannelConfig, k: int) -> float:
     """Effective thermal photon number seen by the single physical mode ``k``.
 
@@ -171,87 +139,3 @@ def local_effective_temperature(cfg: ChannelConfig, k: int) -> float:
     weights = spectrum.vectors[:, k - 1] ** 2
     qvar = (cfg.temp + 0.5) * float(weights @ np.exp(cfg.s * spectrum.lambdas))
     return qvar - 0.5
-
-
-@dataclass(frozen=True)
-class PassiveEnvSpec:
-    """Environment specified by a passive (orthogonal symplectic) rotation.
-
-    The covariance is O (D_Q (+) D_P) O^T with O = [[X, Y], [-Y, X]].
-    ``x`` and ``y`` are the n x n blocks; ``d_q`` and ``d_p`` hold the
-    diagonals of D_Q and D_P.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    d_q: np.ndarray
-    d_p: np.ndarray
-
-    def validate(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        n = x.shape[0]
-        if x.shape != (n, n) or y.shape != (n, n):
-            raise ValueError("x and y must be square blocks of equal size")
-        if np.shape(self.d_q) != (n,) or np.shape(self.d_p) != (n,):
-            raise ValueError("d_q and d_p must be length-n diagonals")
-        if np.max(np.abs(x @ x.T + y @ y.T - np.eye(n))) > 1e-10:
-            raise ValueError("blocks fail X X^T + Y Y^T = 1")
-        if np.max(np.abs(x @ y.T - y @ x.T)) > 1e-10:
-            raise ValueError("blocks fail X Y^T - Y X^T = 0")
-        dq = np.asarray(self.d_q, dtype=float)
-        dp = np.asarray(self.d_p, dtype=float)
-        if np.any(dq <= 0.0) or np.any(dp <= 0.0):
-            raise ValueError("squeezed diagonals must be positive")
-        if np.any(dq * dp < 0.25 - 1e-12):
-            raise ValueError("diagonal products violate the uncertainty bound")
-
-    @property
-    def n(self) -> int:
-        return np.shape(self.x)[0]
-
-
-def build_passive_env(spec: PassiveEnvSpec) -> np.ndarray:
-    """Assemble the 2n x 2n environment covariance from a passive spec."""
-    spec.validate()
-    x = np.asarray(spec.x, dtype=float)
-    y = np.asarray(spec.y, dtype=float)
-    dq = np.asarray(spec.d_q, dtype=float)
-    dp = np.asarray(spec.d_p, dtype=float)
-    o = np.block([[x, y], [-y, x]])
-    d = np.diag(np.concatenate([dq, dp]))
-    return o @ d @ o.T
-
-
-def passive_env_modes(spec: PassiveEnvSpec) -> list[GlobalEnvMode]:
-    """Independent squeezed thermal modes equivalent to a passive spec.
-
-    Mode j has temp_j = sqrt(d_q[j] d_p[j]) - 1/2 and squeezing
-    s_j = ln(d_q[j] / d_p[j]) / 2.
-    """
-    spec.validate()
-    modes = []
-    for j in range(spec.n):
-        dq = float(spec.d_q[j])
-        dp = float(spec.d_p[j])
-        modes.append(
-            GlobalEnvMode(
-                index=j + 1,
-                s=0.5 * math.log(dq / dp),
-                temp=math.sqrt(dq * dp) - 0.5,
-            )
-        )
-    return modes
-
-
-def passive_spec_from_config(cfg: ChannelConfig) -> PassiveEnvSpec:
-    """Passive-form description of the standard collective environment."""
-    spectrum = omega_spectrum(cfg.n)
-    v = cfg.temp + 0.5
-    s_j = cfg.s * spectrum.lambdas
-    return PassiveEnvSpec(
-        x=spectrum.vectors.T.copy(),
-        y=np.zeros((cfg.n, cfg.n)),
-        d_q=v * np.exp(s_j),
-        d_p=v * np.exp(-s_j),
-    )

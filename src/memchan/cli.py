@@ -90,10 +90,10 @@ def _run_scan(args) -> int:
             s_steps=args.s_steps,
             jobs=args.jobs,
         )
+        rows = run_scan(spec, progress=sys.stderr)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = run_scan(spec, progress=sys.stderr)
     if args.out == "-":
         sys.stdout.write(format_rows(rows, args.format))
     else:

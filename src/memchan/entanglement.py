@@ -23,7 +23,6 @@ from .information import EncodingParams
 
 __all__ = [
     "SeedState",
-    "seed_local_covariance",
     "mean_reduced_entropy",
     "env_two_mode_cov",
     "env_min_ppt_symplectic",
@@ -66,24 +65,6 @@ class SeedState:
     @property
     def n(self) -> int:
         return len(self.t)
-
-
-def seed_local_covariance(seed: SeedState) -> np.ndarray:
-    """Seed covariance in the physical mode basis, block ordering.
-
-    The basis change is passive (orthogonal on each quadrature block), so the
-    trace and the symplectic spectrum are both preserved.
-    """
-    t = np.asarray(seed.t)
-    r = np.asarray(seed.r)
-    dq = (t + 0.5) * np.exp(r)
-    dp = (t + 0.5) * np.exp(-r)
-    v = seed.basis
-    n = seed.n
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = v.T @ np.diag(dq) @ v
-    out[n:, n:] = v.T @ np.diag(dp) @ v
-    return out
 
 
 def mean_reduced_entropy(seed: SeedState) -> float:
@@ -129,17 +110,6 @@ def env_min_ppt_symplectic(s: float, temp: float) -> float:
     return ppt_min_symplectic(env_two_mode_cov(s, temp))
 
 
-def _bisect_boundary(s: float, lo: float, hi: float) -> float:
-    """Crossing of nu-tilde(T) = 1/2 in [lo, hi], entangled at lo, separable at hi."""
-    while hi - lo > 1e-12 * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if env_min_ppt_symplectic(s, mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def separability_boundary_temp(s: float) -> float:
     """Temperature where the two-use environment turns separable.
 
@@ -153,16 +123,22 @@ def separability_boundary_temp(s: float) -> float:
         lo, hi = hi, 2.0 * hi
         if hi > 1e9:
             raise ValueError(f"no separability crossing found below T={lo}")
-    return _bisect_boundary(s, lo, hi)
+    # entangled at lo, separable at hi
+    while hi - lo > 1e-12 * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if env_min_ppt_symplectic(s, mid) < 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def env_separability_scan(s_grid, temp_grid) -> np.ndarray:
     """Separability boundary points of the two-use environment.
 
-    For each squeezing value the zero contour of nu-tilde - 1/2 is located
-    by bisection in temperature; points whose crossing lies outside
-    [min(temp_grid), max(temp_grid)] are omitted.  Returns an array of
-    (s, T_boundary) rows.
+    T_boundary is :func:`separability_boundary_temp` at each squeezing
+    value; points whose crossing lies outside [min(temp_grid),
+    max(temp_grid)] are omitted.  Returns an array of (s, T_boundary) rows.
     """
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     temp_grid = np.atleast_1d(np.asarray(temp_grid, dtype=float))
@@ -174,11 +150,7 @@ def env_separability_scan(s_grid, temp_grid) -> np.ndarray:
         raise ValueError("temperature grid must be nonnegative")
     points = []
     for s in s_grid:
-        if env_min_ppt_symplectic(s, t_lo) >= 0.5:
-            if t_lo == 0.0 and env_min_ppt_symplectic(s, 0.0) == 0.5:
-                points.append((s, 0.0))
-            continue
-        if env_min_ppt_symplectic(s, t_hi) < 0.5:
-            continue
-        points.append((s, _bisect_boundary(s, t_lo, t_hi)))
+        t_b = separability_boundary_temp(s)
+        if t_lo <= t_b <= t_hi:
+            points.append((s, t_b))
     return np.array(points).reshape(-1, 2)

@@ -27,10 +27,7 @@ __all__ = [
     "g_prime",
     "symplectic_form",
     "symplectic_eigenvalues",
-    "von_neumann_entropy",
-    "purify_single_mode",
     "ppt_min_symplectic",
-    "reduce_to_mode",
     "interleaved_to_block",
 ]
 
@@ -136,39 +133,6 @@ def symplectic_eigenvalues(cov: np.ndarray, check: bool = True) -> np.ndarray:
     return paired
 
 
-def von_neumann_entropy(cov: np.ndarray) -> float:
-    """Von Neumann entropy in bits of the Gaussian state with covariance ``cov``.
-
-    ``cov`` is 2m x 2m in block ordering.  Sum of g(nu_k - 1/2) over the
-    symplectic spectrum; symplectic eigenvalues within 1e-9 below 1/2 are
-    treated as exactly 1/2.
-    """
-    nus = symplectic_eigenvalues(cov)
-    return float(sum(g_entropy(max(nu - 0.5, 0.0)) for nu in nus))
-
-
-def purify_single_mode(t: float, r: float) -> TwoModeCov:
-    """Two-mode purification of the squeezed thermal state (t, r).
-
-    Returns the standard-form pure covariance with blocks
-    A = diag(a, b), B = diag(b, a), C = diag(x, -x) where
-    a = (t+1/2)e^r, b = (t+1/2)e^-r and x = sqrt(ab - 1/4).
-    The first mode's marginal is the input state.
-    """
-    if t < -1e-12:
-        raise UnphysicalStateError(f"thermal photon number must be >= 0, got {t}")
-    t = max(t, 0.0)
-    v = t + 0.5
-    a = v * math.exp(r)
-    b = v * math.exp(-r)
-    x = math.sqrt(max(a * b - 0.25, 0.0))
-    return TwoModeCov(
-        a=np.diag([a, b]),
-        b=np.diag([b, a]),
-        c=np.diag([x, -x]),
-    )
-
-
 def ppt_min_symplectic(cov: TwoModeCov) -> float:
     """Smallest symplectic eigenvalue after partial transposition.
 
@@ -183,20 +147,3 @@ def ppt_min_symplectic(cov: TwoModeCov) -> float:
     tilted = flip @ mat @ flip
     nus = symplectic_eigenvalues(interleaved_to_block(tilted), check=False)
     return float(nus.min())
-
-
-def reduce_to_mode(cov: np.ndarray, k: int) -> np.ndarray:
-    """2x2 marginal covariance of mode ``k`` (1-based) in (q, p) ordering.
-
-    ``cov`` is 2m x 2m in block ordering.
-    """
-    cov = np.asarray(cov, dtype=float)
-    dim = cov.shape[0]
-    if dim % 2 or cov.shape != (dim, dim):
-        raise ValueError("covariance matrix must be 2m x 2m")
-    m = dim // 2
-    if not 1 <= k <= m:
-        raise ValueError(f"mode index must be in 1..{m}, got {k}")
-    i = k - 1
-    idx = [i, m + i]
-    return cov[np.ix_(idx, idx)]

@@ -19,19 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import GlobalEnvMode
-from .gaussian import g_entropy, g_prime, purify_single_mode
+from .gaussian import g_entropy, g_prime
 
 __all__ = [
     "EncodingParams",
     "chi_mode",
     "chi_mode_gradient",
-    "holevo_chi",
     "coherent_information",
     "coherent_information_gradient",
-    "coherent_information_rotated",
     "quantum_mutual_information",
     "quantum_mutual_information_gradient",
     "mode_photon_number",
@@ -128,21 +124,6 @@ def chi_mode_gradient(
     return d_t, d_r, d_cq, d_cp
 
 
-def holevo_chi(params: EncodingParams, modes: list[GlobalEnvMode], eta: float) -> float:
-    """Total Holevo information of the encoding over all modes, in bits.
-
-    Additive across the decoupled modes; divide by n for bits per use.
-    """
-    if params.n_modes != len(modes):
-        raise ValueError(f"encoding covers {params.n_modes} modes, channel has {len(modes)}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    return math.fsum(
-        chi_mode(params.t[j], params.r[j], params.c_q[j], params.c_p[j], modes[j], eta)
-        for j in range(len(modes))
-    )
-
-
 def _coherent_pieces(t, r, mode: GlobalEnvMode, eta):
     a = (t + 0.5) * math.exp(r)
     b = (t + 0.5) * math.exp(-r)
@@ -219,34 +200,6 @@ def coherent_information_gradient(
     d_t = dj_da * math.exp(r) + dj_db * math.exp(-r)
     d_r = dj_da * a - dj_db * b
     return d_t, d_r
-
-
-def coherent_information_rotated(
-    t: float, r: float, theta: float, mode: GlobalEnvMode, eta: float
-) -> float:
-    """Coherent information for a phase-rotated seed (diagnostic).
-
-    Rotating the squeezed thermal seed by ``theta`` introduces a q-p
-    correlation; this evaluates the resulting coherent information through
-    the explicit two-mode output spectrum.  theta = 0 reproduces
-    :func:`coherent_information`, and scanning theta checks that correlated
-    seeds do not beat the quadrature-aligned form.
-    """
-    pur = purify_single_mode(t, r)
-    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    sys_blk = rot @ pur.a @ rot.T
-    cross = rot @ pur.c.T  # upper-right block, system rows by ancilla columns
-    out_a = eta * sys_blk + (1.0 - eta) * mode.covariance()
-    out_c = math.sqrt(eta) * cross
-    joint = np.block([[out_a, out_c], [out_c.T, pur.b]])
-    delta = np.linalg.det(out_a) + np.linalg.det(pur.b) + 2.0 * np.linalg.det(out_c)
-    det_m = np.linalg.det(joint)
-    nu_plus, nu_minus, _ = _nu_pair(float(delta), float(det_m))
-    return (
-        g_entropy(math.sqrt(max(np.linalg.det(out_a), 0.0)) - 0.5)
-        - g_entropy(nu_plus - 0.5)
-        - g_entropy(max(nu_minus - 0.5, 0.0))
-    )
 
 
 def quantum_mutual_information(t: float, r: float, mode: GlobalEnvMode, eta: float) -> float:

@@ -43,11 +43,7 @@ __all__ = [
     "maximize_ent_assisted",
     "maximize_quantum_local",
     "maximize_ent_assisted_local",
-    "brute_force_oracle",
 ]
-
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class OptResult:
@@ -283,7 +279,6 @@ class _Group:
     s_abs: float
     temp: float
     indices: list[int] = field(default_factory=list)
-    signs: list[float] = field(default_factory=list)
 
 
 def _cluster_modes(modes: list[GlobalEnvMode]) -> list[_Group]:
@@ -293,15 +288,13 @@ def _cluster_modes(modes: list[GlobalEnvMode]) -> list[_Group]:
     for j in order:
         s_abs = abs(modes[j].s)
         temp = modes[j].temp
-        sign = 1.0 if modes[j].s >= 0.0 else -1.0
         if groups and (
             abs(groups[-1].s_abs - s_abs) <= 1e-12 * (1.0 + s_abs)
             and abs(groups[-1].temp - temp) <= 1e-12 * (1.0 + temp)
         ):
             groups[-1].indices.append(j)
-            groups[-1].signs.append(sign)
         else:
-            groups.append(_Group(s_abs, temp, [j], [sign]))
+            groups.append(_Group(s_abs, temp, [j]))
     return groups
 
 
@@ -349,10 +342,10 @@ class _GroupSolver:
         return out
 
 
-def _mirror_params(params: tuple, sign: float, swap_mod: bool) -> tuple:
+def _mirror_params(params: tuple, s: float, swap_mod: bool) -> tuple:
     # a -s mode is the q<->p image of its +s partner
     t, r, cq, cp = params
-    if sign >= 0.0:
+    if s >= 0.0:
         return t, r, cq, cp
     if swap_mod:
         return t, -r, cp, cq
@@ -483,11 +476,9 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod, extra_allocs=
     groups = _cluster_modes(modes)
     solvers = [_GroupSolver(g, eta, inner) for g in groups]
     weights = np.array([float(len(g.indices)) for g in groups])
-    group_of = {}
-    group_idx = {}
-    for gi, (g, solver) in enumerate(zip(groups, solvers)):
+    group_idx = [0] * n
+    for gi, g in enumerate(groups):
         for j in g.indices:
-            group_of[j] = solver
             group_idx[j] = gi
 
     if budget <= 0.0:
@@ -503,7 +494,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod, extra_allocs=
             solver.solve(x)
 
     def exact_total(alloc):
-        return math.fsum(group_of[j].solve(alloc[j])[0] for j in range(n))
+        return math.fsum(solvers[group_idx[j]].solve(alloc[j])[0] for j in range(n))
 
     candidates = [np.full(n, nbar)]
     for extra in extra_allocs:
@@ -515,12 +506,12 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod, extra_allocs=
 
     fallback = False
     for _ in range(3):
-        cubics = {}
+        cubics = []
         for solver in solvers:
             xs = sorted(solver.memo)
             ys = [solver.memo[x][0] for x in xs]
-            cubics[id(solver)] = _FastCubic(xs, ys)
-        fns = [cubics[id(group_of[j])] for j in range(n)]
+            cubics.append(_FastCubic(xs, ys))
+        fns = [cubics[group_idx[j]] for j in range(n)]
         alloc, info = allocate_photons(fns, n, nbar, return_info=True)
         fallback = fallback or info["fallback"]
         candidates.append(np.asarray(alloc, dtype=float))
@@ -539,10 +530,8 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod, extra_allocs=
 
     params = []
     for j in range(n):
-        solver = group_of[j]
-        raw = solver.solve(best_alloc[j])[1]
-        sign = solver.group.signs[solver.group.indices.index(j)]
-        params.append(_mirror_params(raw, sign, swap_mod))
+        raw = solvers[group_idx[j]].solve(best_alloc[j])[1]
+        params.append(_mirror_params(raw, modes[j].s, swap_mod))
 
     # KKT residual: marginal-value spread across active groups, plus any
     # idle group whose entry marginal beats the active level
@@ -670,153 +659,3 @@ def maximize_quantum_local(cfg: ChannelConfig) -> OptResult:
 def maximize_ent_assisted_local(cfg: ChannelConfig) -> OptResult:
     """Assisted rate when each mode sees only its thermal marginal T_eff(k)."""
     return maximize_ent_assisted(cfg, modes=_local_modes(cfg))
-
-
-# ---------------------------------------------------------------------------
-# brute-force grid oracle (tests only, n <= 2)
-
-
-def _g_np(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    xp = x[pos]
-    out[pos] = (xp * np.log1p(1.0 / xp) + np.log1p(xp)) / _LN2
-    return out
-
-
-def _chi_np(t, r, f, s, temp, eta, cap):
-    v = t + 0.5
-    ctot = 2.0 * (cap - v * np.cosh(r))
-    feas = ctot >= -1e-12
-    ctot = np.maximum(ctot, 0.0)
-    env_q = (temp + 0.5) * math.exp(s)
-    env_p = (temp + 0.5) * math.exp(-s)
-    oq = eta * v * np.exp(r) + (1.0 - eta) * env_q
-    op = eta * v * np.exp(-r) + (1.0 - eta) * env_p
-    aq = oq + eta * f * ctot
-    ap = op + eta * (1.0 - f) * ctot
-    chi = _g_np(np.sqrt(aq * ap) - 0.5) - _g_np(np.sqrt(oq * op) - 0.5)
-    return np.where(feas, chi, -np.inf)
-
-
-def _j_np(t, r, s, temp, eta, cap):
-    v = t + 0.5
-    feas = v * np.cosh(r) <= cap * (1.0 + 1e-12)
-    a = v * np.exp(r)
-    b = v * np.exp(-r)
-    env_q = (temp + 0.5) * math.exp(s)
-    env_p = (temp + 0.5) * math.exp(-s)
-    alpha = eta * a + (1.0 - eta) * env_q
-    beta = eta * b + (1.0 - eta) * env_p
-    det_out = alpha * beta
-    i2 = det_out + (1.0 - 2.0 * eta) * a * b + 0.5 * eta
-    pq = (1.0 - eta) * env_q * b + 0.25 * eta
-    pp = (1.0 - eta) * env_p * a + 0.25 * eta
-    rad = np.sqrt(np.maximum(i2 * i2 - 4.0 * pq * pp, 0.0))
-    nu_plus = np.sqrt((i2 + rad) / 2.0)
-    nu_minus = np.sqrt(pq * pp) / nu_plus
-    j = (
-        _g_np(np.sqrt(det_out) - 0.5)
-        - _g_np(nu_plus - 0.5)
-        - _g_np(np.maximum(nu_minus - 0.5, 0.0))
-    )
-    return np.where(feas, j, -np.inf)
-
-
-def _bf_mode_max(kind: str, s: float, temp: float, eta: float, nj: float) -> float:
-    """Three-stage grid maximum of one mode's quantity at photon number nj."""
-    if nj <= 0.0:
-        return 0.0
-    cap = nj + 0.5
-    rm = math.acosh(2.0 * nj + 1.0)
-
-    if kind == "classical":
-        domains = [(0.0, nj), (-rm, rm), (0.0, 1.0)]
-        counts = (17, 25, 13)
-
-        def evaluate(axes):
-            t, r, f = np.meshgrid(*axes, indexing="ij")
-            return _chi_np(t, r, f, s, temp, eta, cap)
-
-    else:
-        domains = [(0.0, nj), (-rm, rm)]
-        counts = (25, 33)
-
-        def evaluate(axes):
-            t, r = np.meshgrid(*axes, indexing="ij")
-            vals = _j_np(t, r, s, temp, eta, cap)
-            if kind == "ent-assisted":
-                vals = vals + _g_np(t)
-            return vals
-
-    centers = [0.5 * (lo + hi) for lo, hi in domains]
-    spans = [hi - lo for lo, hi in domains]
-    best = 0.0
-    for _ in range(4):
-        axes = [
-            np.clip(np.linspace(c - sp / 2.0, c + sp / 2.0, k), lo, hi)
-            for c, sp, k, (lo, hi) in zip(centers, spans, counts, domains)
-        ]
-        vals = evaluate(axes)
-        flat = int(np.argmax(vals))
-        idx = np.unravel_index(flat, vals.shape)
-        best = max(best, float(vals[idx]))
-        centers = [float(ax[i]) for ax, i in zip(axes, idx)]
-        spans = [2.2 * (ax[1] - ax[0]) if len(ax) > 1 else 0.0 for ax in axes]
-
-    if kind != "classical":
-        # The box grid converges linearly against the slanted energy
-        # boundary, where these optima usually sit; scan the boundary
-        # curve t = cap/cosh(r) - 1/2 with the same staged refinement.
-        center, span = 0.0, 2.0 * rm
-        for _ in range(4):
-            r_b = np.clip(np.linspace(center - span / 2.0, center + span / 2.0, 65), -rm, rm)
-            t_b = np.maximum(cap / np.cosh(r_b) - 0.5, 0.0)
-            vals = _j_np(t_b, r_b, s, temp, eta, cap)
-            if kind == "ent-assisted":
-                vals = vals + _g_np(t_b)
-            k = int(np.argmax(vals))
-            best = max(best, float(vals[k]))
-            center = float(r_b[k])
-            span = 2.2 * (r_b[1] - r_b[0])
-    return best
-
-
-def brute_force_oracle(cfg: ChannelConfig, quantity: str) -> float:
-    """Certified grid maximization for n <= 2, bits per channel use.
-
-    ``quantity`` is one of "classical", "quantum", "ent-assisted".  Slow and
-    deliberately independent of the production optimizer: plain nested grids
-    over the photon split and the per-mode parameters, refined three times.
-    """
-    if quantity not in ("classical", "quantum", "ent-assisted"):
-        raise ValueError(f"unknown quantity {quantity!r}")
-    if cfg.n > 2:
-        raise ValueError("brute-force oracle is limited to n <= 2")
-    modes = env_global_modes(cfg)
-    eta = cfg.eta
-    if quantity == "quantum" and eta < 0.5:
-        return 0.0
-    if eta <= 0.0:
-        return 0.0
-
-    def mode_value(mode, x):
-        return _bf_mode_max(quantity, mode.s, mode.temp, eta, x)
-
-    if cfg.n == 1:
-        total = mode_value(modes[0], cfg.nbar)
-        return max(total, 0.0)
-
-    budget = 2.0 * cfg.nbar
-    center, span = budget / 2.0, budget
-    best = 0.0
-    for stage in range(4):
-        count = 33 if stage == 0 else 17
-        grid = np.clip(np.linspace(center - span / 2.0, center + span / 2.0, count), 0.0, budget)
-        totals = [mode_value(modes[0], x) + mode_value(modes[1], budget - x) for x in grid]
-        k = int(np.argmax(totals))
-        best = max(best, float(totals[k]))
-        center = float(grid[k])
-        span = 2.2 * (grid[1] - grid[0])
-    return max(best, 0.0) / 2.0

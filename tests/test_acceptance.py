@@ -16,18 +16,14 @@ from memchan.channel import (
     ChannelConfig,
     GlobalEnvMode,
     local_effective_temperature,
-    passive_env_modes,
-    passive_spec_from_config,
 )
 from memchan.entanglement import separability_boundary_temp
 from memchan.gaussian import (
     TwoModeCov,
     g_entropy,
     interleaved_to_block,
-    purify_single_mode,
     symplectic_eigenvalues,
     symplectic_form,
-    von_neumann_entropy,
 )
 from memchan.information import (
     chi_mode,
@@ -37,13 +33,15 @@ from memchan.information import (
     quantum_mutual_information,
     quantum_mutual_information_gradient,
 )
-from memchan.optimize import (
-    brute_force_oracle,
-    maximize_classical,
-    maximize_ent_assisted,
-    maximize_quantum,
-)
+from memchan.optimize import maximize_classical, maximize_ent_assisted, maximize_quantum
 from memchan.scan import figure_specs, run_scan
+from reference_models import (
+    brute_force_oracle,
+    passive_env_modes,
+    passive_spec_from_config,
+    purify_single_mode,
+    von_neumann_entropy,
+)
 
 LOG2_17 = 4.087462841250339408
 G_OF_8 = 4.529325012980811266

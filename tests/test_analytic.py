@@ -17,7 +17,7 @@ from memchan.analytic import (
 )
 from memchan.channel import ChannelConfig
 from memchan.gaussian import g_entropy
-from memchan.optimize import maximize_ent_assisted, maximize_quantum
+from memchan.optimize import maximize_classical, maximize_ent_assisted, maximize_quantum
 
 # 40-digit reference values
 M_N2_S1_T0 = 0.27154031740762188924  # cosh(1)/2 - 1/2
@@ -25,7 +25,8 @@ M_N3_S1_T1 = 2.178183556608570864  # 1.5*(2*cosh(sqrt(2)) + 1)/3 - 1/2
 DELTA_8_09_0 = 2.602601424887475018
 LOG2_17 = 4.087462841250339408
 G_OF_8 = 4.529325012980811266
-ASYM_N11 = 4.114651522281788091  # (10/11)*log2(17) + g(7.2)/11
+# max over y of [10 log2(2 (88 - y)/10 + 1) + g(0.9 y)] / 11, reached at y = 7.9605
+ASYM_N11 = 4.114653077055781290664
 DELTA_88_09_0 = 3.099963263058701402681  # all 88 photons of n=11, N=8 on one mode
 # max over y of [10 g((88 - y)/10) + g(y) + delta(y)] / 11, reached at y = 10.0132
 ASYM_EA_N11 = 4.770341185469434341491
@@ -175,9 +176,11 @@ class TestAsymptotics:
     def test_odd_n_limits_match_optimizer(self):
         # at s = 60 every squeezed pair of the n=11 chain is squeezed by more than 31
         cfg = ChannelConfig(n=11, eta=0.9, s=60.0, temp=0.0, nbar=8.0)
+        classical = maximize_classical(cfg)
         quantum = maximize_quantum(cfg)
         assisted = maximize_ent_assisted(cfg)
-        assert quantum.converged and assisted.converged
+        assert classical.converged and quantum.converged and assisted.converged
+        assert classical.value == pytest.approx(classical_lower_asymptotic(11, 8.0, 0.9, 0.0), abs=1e-9)
         assert quantum.value == pytest.approx(asymptotic_quantum(11, 8.0, 0.9, 0.0), abs=1e-5)
         assert assisted.value == pytest.approx(asymptotic_ent_assisted(11, 8.0, 0.9, 0.0), abs=1e-5)
 

@@ -9,16 +9,18 @@ from memchan.analytic import m_parameter
 from memchan.channel import (
     ChannelConfig,
     GlobalEnvMode,
-    build_passive_env,
     env_global_modes,
-    env_local_covariance,
     local_effective_temperature,
-    omega_matrix,
     omega_spectrum,
+)
+from reference_models import (
+    build_passive_env,
+    env_local_covariance,
+    omega_matrix,
     passive_env_modes,
     passive_spec_from_config,
+    reduce_to_mode,
 )
-from memchan.gaussian import reduce_to_mode
 
 # 40-digit reference: cosh(1)/2
 COSH1_HALF = 0.77154031740762188924

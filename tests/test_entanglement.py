@@ -5,25 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from memchan.channel import ChannelConfig, env_local_covariance, omega_spectrum
+from memchan.channel import ChannelConfig, omega_spectrum
 from memchan.entanglement import (
     SeedState,
     env_min_ppt_symplectic,
     env_separability_scan,
     env_two_mode_cov,
     mean_reduced_entropy,
-    seed_local_covariance,
     separability_boundary_temp,
 )
-from memchan.gaussian import (
-    g_entropy,
-    interleaved_to_block,
-    reduce_to_mode,
-    symplectic_eigenvalues,
-    von_neumann_entropy,
-)
+from memchan.gaussian import g_entropy, interleaved_to_block, symplectic_eigenvalues
 from memchan.information import EncodingParams
 from memchan.optimize import maximize_classical
+from reference_models import (
+    env_local_covariance,
+    reduce_to_mode,
+    seed_local_covariance,
+    von_neumann_entropy,
+)
 
 # 40-digit reference values
 EXP_NEG1_HALF = 0.18393972058572116080  # e^-1 / 2
@@ -134,3 +133,6 @@ class TestEnvironmentSeparability:
         rows = env_separability_scan(np.array([3.0]), np.linspace(0.0, 1.0, 3))
         # boundary at (e^3 - 1)/2 = 9.54 lies above the temperature grid
         assert rows.shape[0] == 0
+        # (e^0.5 - 1)/2 = 0.32 lies below a grid starting at T = 1, (e^1.5 - 1)/2 inside it
+        rows = env_separability_scan(np.array([0.5, 1.5]), np.linspace(1.0, 2.0, 3))
+        assert rows[:, 0].tolist() == [1.5]

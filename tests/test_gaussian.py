@@ -14,12 +14,10 @@ from memchan.gaussian import (
     g_prime,
     interleaved_to_block,
     ppt_min_symplectic,
-    purify_single_mode,
-    reduce_to_mode,
     symplectic_eigenvalues,
     symplectic_form,
-    von_neumann_entropy,
 )
+from reference_models import purify_single_mode, reduce_to_mode, von_neumann_entropy
 
 getcontext().prec = 50
 

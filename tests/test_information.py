@@ -6,23 +6,22 @@ import numpy as np
 import pytest
 
 from memchan.channel import GlobalEnvMode
-from memchan.gaussian import (
-    g_entropy,
-    interleaved_to_block,
-    purify_single_mode,
-    von_neumann_entropy,
-)
+from memchan.gaussian import g_entropy, interleaved_to_block
 from memchan.information import (
     EncodingParams,
     chi_mode,
     chi_mode_gradient,
     coherent_information,
     coherent_information_gradient,
-    coherent_information_rotated,
-    holevo_chi,
     mode_photon_number,
     quantum_mutual_information,
     quantum_mutual_information_gradient,
+)
+from reference_models import (
+    coherent_information_rotated,
+    holevo_chi,
+    purify_single_mode,
+    von_neumann_entropy,
 )
 
 

@@ -7,13 +7,13 @@ from memchan.analytic import classical_lower_analytic, delta_term
 from memchan.channel import ChannelConfig, env_global_modes
 from memchan.gaussian import g_entropy
 from memchan.optimize import (
-    brute_force_oracle,
     maximize_classical,
     maximize_ent_assisted,
     maximize_ent_assisted_local,
     maximize_quantum,
     maximize_quantum_local,
 )
+from reference_models import brute_force_oracle
 
 G_OF_7P2 = 4.386538332596274923
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -225,6 +226,15 @@ class TestCli:
             assert code == 2
             assert "error:" in capsys.readouterr().err
 
+    def test_failed_evaluation_exits_2(self, monkeypatch, capsys):
+        def unphysical(*args):
+            raise ValueError("symplectic eigenvalue below vacuum limit")
+
+        monkeypatch.setattr("memchan.scan._evaluate_point", unphysical)
+        code = main(["scan", "--quantity", "separability", "--n", "2", "--s-steps", "1"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_figure_without_s_points_exits_2(self, tmp_path, capsys):
         code = main(["figure", "3a", "--s-steps", "0", "--out-dir", str(tmp_path)])
         assert code == 2
@@ -240,6 +250,7 @@ class TestCli:
             [sys.executable, "-m", "memchan.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},  # as pytest imports it
         )
         assert proc.returncode == 0
         assert "scan" in proc.stdout and "figure" in proc.stdout
