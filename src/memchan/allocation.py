@@ -87,8 +87,8 @@ def _pairwise_polish(fns, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def allocate_photons(fns, n: int, nbar: float, *, return_info: bool = False):
-    """Allocate the photon budget n * nbar across n modes.
+def allocate_photons(fns, nbar: float, *, return_info: bool = False):
+    """Allocate the photon budget n * nbar across the n = len(fns) modes.
 
     Parameters
     ----------
@@ -96,8 +96,6 @@ def allocate_photons(fns, n: int, nbar: float, *, return_info: bool = False):
         ``fns[i](x)`` is the value of spending x photons on mode i.
         Functions must be defined on [0, n * nbar] and should be
         nondecreasing.
-    n : int
-        Number of modes.
     nbar : float
         Photon budget per mode.
     return_info : bool
@@ -109,13 +107,12 @@ def allocate_photons(fns, n: int, nbar: float, *, return_info: bool = False):
     -------
     numpy.ndarray of shape (n,) summing to n * nbar.
     """
+    fns = list(fns)
+    n = len(fns)
     if n < 1:
-        raise AllocationError(f"need at least one mode, got n={n}")
+        raise AllocationError("need at least one value function")
     if nbar < 0.0:
         raise AllocationError(f"photon budget must be >= 0, got nbar={nbar}")
-    fns = list(fns)
-    if len(fns) != n:
-        raise AllocationError(f"expected {n} value functions, got {len(fns)}")
 
     budget = n * nbar
     info = {"fallback": False, "mu": 0.0}

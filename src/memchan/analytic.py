@@ -194,7 +194,7 @@ def local_classical_lower(cfg: ChannelConfig) -> float:
         return lambda x: g_entropy(cfg.eta * x + one_minus * teff) - base
 
     fns = [make_fn(teff) for teff in teffs]
-    alloc = allocate_photons(fns, cfg.n, cfg.nbar)
+    alloc = allocate_photons(fns, cfg.nbar)
     return math.fsum(fn(x) for fn, x in zip(fns, alloc)) / cfg.n
 
 

@@ -8,6 +8,13 @@ is pure).  Second, where does the two-use environment state stop being
 separable: for 1x1 mode splits the Gaussian PPT criterion is necessary and
 sufficient, so the boundary is the nu-tilde = 1/2 contour of the partially
 transposed covariance.
+
+Both have closed forms.  In (q1, p1, q2, p2) ordering the environment is in
+symmetric standard form, A = B = v cosh(s) I and C = v sinh(s) diag(1, -1)
+with v = T + 1/2.  Partial transposition flips the sign of C's second entry,
+so the transposed state's symplectic eigenvalues are v e^{-|s|} and
+v e^{|s|}: nu-tilde = (T + 1/2) e^{-|s|}, and the state is separable iff
+T >= (e^{|s|} - 1)/2.
 """
 
 from __future__ import annotations
@@ -18,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import OmegaSpectrum
-from .gaussian import TwoModeCov, g_entropy, ppt_min_symplectic
+from .gaussian import g_entropy
 from .information import EncodingParams
 
 __all__ = [
     "SeedState",
     "mean_reduced_entropy",
-    "env_two_mode_cov",
     "env_min_ppt_symplectic",
     "separability_boundary_temp",
     "env_separability_scan",
@@ -86,51 +92,28 @@ def mean_reduced_entropy(seed: SeedState) -> float:
     return math.fsum(g_entropy(nu - 0.5) for nu in nus) / seed.n
 
 
-def env_two_mode_cov(s: float, temp: float) -> TwoModeCov:
-    """Covariance of the two-use squeezed thermal environment.
-
-    Closed form of (temp + 1/2)(e^{s Omega} (+) e^{-s Omega}) for the 2x2
-    coupling Omega = [[0, 1], [1, 0]].
-    """
-    if temp < 0:
-        raise ValueError("temperature parameter must be nonnegative")
-    v = temp + 0.5
-    ch = v * math.cosh(s)
-    sh = v * math.sinh(s)
-    block = np.diag([ch, ch])
-    cross = np.diag([sh, -sh])
-    return TwoModeCov(a=block, b=block, c=cross)
-
-
 def env_min_ppt_symplectic(s: float, temp: float) -> float:
     """Smallest symplectic eigenvalue of the partially transposed env state.
 
-    The state is separable iff the returned value is >= 1/2.
+    Closed form (temp + 1/2) e^{-|s|}; the state is separable iff the
+    returned value is >= 1/2.
     """
-    return ppt_min_symplectic(env_two_mode_cov(s, temp))
+    if temp < 0:
+        raise ValueError("temperature parameter must be nonnegative")
+    return (temp + 0.5) * math.exp(-abs(s))
 
 
 def separability_boundary_temp(s: float) -> float:
     """Temperature where the two-use environment turns separable.
 
-    Bisects nu-tilde(T) - 1/2, which is increasing in T; returns 0.0 at
-    s = 0 where the state is separable for every temperature.
+    Closed form (e^{|s|} - 1)/2, the root of (T + 1/2) e^{-|s|} = 1/2;
+    0.0 at s = 0, where the state is separable for every temperature.
+    Raises ``ValueError`` where the boundary overflows a float (|s| > 709.78).
     """
-    if env_min_ppt_symplectic(s, 0.0) >= 0.5:
-        return 0.0
-    lo, hi = 0.0, 64.0
-    while env_min_ppt_symplectic(s, hi) < 0.5:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e9:
-            raise ValueError(f"no separability crossing found below T={lo}")
-    # entangled at lo, separable at hi
-    while hi - lo > 1e-12 * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if env_min_ppt_symplectic(s, mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    try:
+        return 0.5 * math.expm1(abs(s))
+    except OverflowError:
+        raise ValueError(f"separability boundary overflows at s={s}") from None
 
 
 def env_separability_scan(s_grid, temp_grid) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Gaussian-state primitives: covariance containers, entropies, symplectic spectra.
+"""Gaussian-state primitives: entropies and symplectic spectra.
 
 Conventions used throughout the package:
 
@@ -6,15 +6,12 @@ Conventions used throughout the package:
   eigenvalue of a physical covariance matrix is >= 1/2.
 * Entropies are reported in bits.
 * Multimode covariance matrices are stored in block ordering
-  (q_1 .. q_m, p_1 .. p_m).  Two-mode containers built from explicit 4x4
-  matrices use the interleaved ordering (q_1, p_1, q_2, p_2) and are
-  converted internally.
+  (q_1 .. q_m, p_1 .. p_m).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +19,10 @@ _LOG2 = math.log(2.0)
 
 __all__ = [
     "UnphysicalStateError",
-    "TwoModeCov",
     "g_entropy",
     "g_prime",
     "symplectic_form",
     "symplectic_eigenvalues",
-    "ppt_min_symplectic",
-    "interleaved_to_block",
 ]
 
 
@@ -60,45 +54,11 @@ def g_prime(x: float) -> float:
     return math.log1p(1.0 / x) / _LOG2
 
 
-@dataclass(frozen=True)
-class TwoModeCov:
-    """Two-mode covariance in block form [[A, C^T], [C, B]].
-
-    A and B are the 2x2 single-mode blocks in (q, p) ordering, C the
-    intermodal correlation block.  ``matrix()`` returns the interleaved
-    (q1, p1, q2, p2) matrix.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, blk in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if np.shape(blk) != (2, 2):
-                raise ValueError(f"block {name} must be 2x2")
-
-    def matrix(self) -> np.ndarray:
-        return np.block([[self.a, self.c.T], [self.c, self.b]])
-
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        return symplectic_eigenvalues(interleaved_to_block(self.matrix()))
-
-
 def symplectic_form(m: int) -> np.ndarray:
     """Symplectic form [[0, I], [-I, 0]] for m modes in block ordering."""
     eye = np.eye(m)
     zero = np.zeros((m, m))
     return np.block([[zero, eye], [-eye, zero]])
-
-
-def interleaved_to_block(mat: np.ndarray) -> np.ndarray:
-    """Reorder a covariance from (q1,p1,...,qm,pm) to (q1..qm, p1..pm)."""
-    dim = mat.shape[0]
-    if dim % 2 or mat.shape != (dim, dim):
-        raise ValueError("covariance matrix must be 2m x 2m")
-    perm = np.r_[0:dim:2, 1:dim:2]
-    return mat[np.ix_(perm, perm)]
 
 
 def symplectic_eigenvalues(cov: np.ndarray, check: bool = True) -> np.ndarray:
@@ -131,19 +91,3 @@ def symplectic_eigenvalues(cov: np.ndarray, check: bool = True) -> np.ndarray:
             f"symplectic eigenvalue below vacuum limit: min {paired.min():.6g}"
         )
     return paired
-
-
-def ppt_min_symplectic(cov: TwoModeCov) -> float:
-    """Smallest symplectic eigenvalue after partial transposition.
-
-    Flips the sign of the second mode's momentum and recomputes the
-    symplectic spectrum.  The state is PPT-separable iff the returned value
-    is >= 1/2.  The input must itself be physical.
-    """
-    mat = cov.matrix()
-    # physicality check on the original state
-    symplectic_eigenvalues(interleaved_to_block(mat))
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    tilted = flip @ mat @ flip
-    nus = symplectic_eigenvalues(interleaved_to_block(tilted), check=False)
-    return float(nus.min())

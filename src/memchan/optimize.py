@@ -8,9 +8,9 @@ per-mode value of photons is solved once per pair on a node grid, bridged
 by a monotone cubic, water-filled, and re-solved exactly at the returned
 allocation; three refinement rounds keep adding nodes near the optimum.
 The analytic optimum and the infinite-squeezing encoding seed the inner
-descent, and the closed-form allocation enters the candidate set whenever
-it is feasible, so inside the analytic validity region the optimizer's
-value is never below the closed form.
+descent.  Wherever the classical closed form is valid and at least the
+water-filled total, it is reported exactly, so inside the analytic validity
+region the optimizer's value is never below the closed form.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def _chi_inner(s_abs: float, temp: float, eta: float, nj: float, warm=None):
     the fraction f of the remaining modulation budget spent on c_q, so the
     energy constraint is saturated by construction.
     """
-    if nj <= 1e-13 or eta <= 0.0:
+    if nj <= 1e-13:
         return 0.0, (0.0, 0.0, 0.0, 0.0)
     mode = GlobalEnvMode(0, s_abs, temp)
     cap = nj + 0.5
@@ -465,7 +465,7 @@ def _exact_refine(solvers, weights, budget, marginal, start):
     return x
 
 
-def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod, extra_allocs=()):
+def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod):
     """Water-filled maximization of a per-mode additive objective.
 
     Returns (total_value, per-mode params, iterations, converged,
@@ -497,12 +497,6 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod, extra_allocs=
         return math.fsum(solvers[group_idx[j]].solve(alloc[j])[0] for j in range(n))
 
     candidates = [np.full(n, nbar)]
-    for extra in extra_allocs:
-        arr = np.maximum(np.asarray(extra, dtype=float), 0.0)
-        tot = arr.sum()
-        if tot > 0.0:
-            arr = arr * (budget / tot)
-        candidates.append(arr)
 
     fallback = False
     for _ in range(3):
@@ -512,7 +506,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod, extra_allocs=
             ys = [solver.memo[x][0] for x in xs]
             cubics.append(_FastCubic(xs, ys))
         fns = [cubics[group_idx[j]] for j in range(n)]
-        alloc, info = allocate_photons(fns, n, nbar, return_info=True)
+        alloc, info = allocate_photons(fns, nbar, return_info=True)
         fallback = fallback or info["fallback"]
         candidates.append(np.asarray(alloc, dtype=float))
         exact_total(alloc)  # populate nodes at the proposed optimum
@@ -599,12 +593,8 @@ def maximize_classical(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = N
     except ValueError:
         bound = None
 
-    extra = []
-    if bound is not None and bound.valid:
-        extra.append([pm.n_opt for pm in bound.per_mode])
-
     total, param_list, iters, ok, kkt = _optimize_grouped(
-        modes, eta, nbar, _chi_inner, _chi_marginal, swap_mod=True, extra_allocs=extra
+        modes, eta, nbar, _chi_inner, _chi_marginal, swap_mod=True
     )
 
     if bound is not None and bound.valid and bound.value * n >= total:

@@ -1,8 +1,12 @@
 """Independent reference models that the tests compare the package against.
 
 None is on a path that produces a reported value.  In order: the dense and
-passive forms of the environment, full-spectrum Gaussian entropies, dense
-per-mode rates, and a brute-force grid oracle for n <= 2 on its own kernels.
+passive forms of the environment; the two-use environment as a dense 4x4
+covariance with its numeric PPT eigenvalue (``TwoModeCov``,
+``interleaved_to_block``, ``ppt_min_symplectic`` and ``env_two_mode_cov``),
+against which the closed forms of ``memchan.entanglement`` are checked;
+full-spectrum Gaussian entropies, dense per-mode rates, and a brute-force
+grid oracle for n <= 2 on its own kernels.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from memchan.channel import ChannelConfig, GlobalEnvMode, env_global_modes, omega_spectrum
 from memchan.entanglement import SeedState
-from memchan.gaussian import TwoModeCov, UnphysicalStateError, g_entropy, symplectic_eigenvalues
+from memchan.gaussian import UnphysicalStateError, g_entropy, symplectic_eigenvalues
 from memchan.information import EncodingParams, _nu_pair, chi_mode
 
 _LN2 = math.log(2.0)
@@ -128,6 +132,72 @@ def passive_spec_from_config(cfg: ChannelConfig) -> PassiveEnvSpec:
         d_q=v * np.exp(s_j),
         d_p=v * np.exp(-s_j),
     )
+
+
+@dataclass(frozen=True)
+class TwoModeCov:
+    """Two-mode covariance in block form [[A, C^T], [C, B]].
+
+    A and B are the 2x2 single-mode blocks in (q, p) ordering, C the
+    intermodal correlation block.  ``matrix()`` returns the interleaved
+    (q1, p1, q2, p2) matrix.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, blk in (("a", self.a), ("b", self.b), ("c", self.c)):
+            if np.shape(blk) != (2, 2):
+                raise ValueError(f"block {name} must be 2x2")
+
+    def matrix(self) -> np.ndarray:
+        return np.block([[self.a, self.c.T], [self.c, self.b]])
+
+    def symplectic_eigenvalues(self) -> np.ndarray:
+        return symplectic_eigenvalues(interleaved_to_block(self.matrix()))
+
+
+def interleaved_to_block(mat: np.ndarray) -> np.ndarray:
+    """Reorder a covariance from (q1,p1,...,qm,pm) to (q1..qm, p1..pm)."""
+    dim = mat.shape[0]
+    if dim % 2 or mat.shape != (dim, dim):
+        raise ValueError("covariance matrix must be 2m x 2m")
+    perm = np.r_[0:dim:2, 1:dim:2]
+    return mat[np.ix_(perm, perm)]
+
+
+def ppt_min_symplectic(cov: TwoModeCov) -> float:
+    """Smallest symplectic eigenvalue after partial transposition.
+
+    Flips the sign of the second mode's momentum and recomputes the
+    symplectic spectrum.  The state is PPT-separable iff the returned value
+    is >= 1/2.  The input must itself be physical.
+    """
+    mat = cov.matrix()
+    # physicality check on the original state
+    symplectic_eigenvalues(interleaved_to_block(mat))
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    tilted = flip @ mat @ flip
+    nus = symplectic_eigenvalues(interleaved_to_block(tilted), check=False)
+    return float(nus.min())
+
+
+def env_two_mode_cov(s: float, temp: float) -> TwoModeCov:
+    """Covariance of the two-use squeezed thermal environment.
+
+    Closed form of (temp + 1/2)(e^{s Omega} (+) e^{-s Omega}) for the 2x2
+    coupling Omega = [[0, 1], [1, 0]].
+    """
+    if temp < 0:
+        raise ValueError("temperature parameter must be nonnegative")
+    v = temp + 0.5
+    ch = v * math.cosh(s)
+    sh = v * math.sinh(s)
+    block = np.diag([ch, ch])
+    cross = np.diag([sh, -sh])
+    return TwoModeCov(a=block, b=block, c=cross)
 
 
 def von_neumann_entropy(cov: np.ndarray) -> float:

@@ -18,13 +18,7 @@ from memchan.channel import (
     local_effective_temperature,
 )
 from memchan.entanglement import separability_boundary_temp
-from memchan.gaussian import (
-    TwoModeCov,
-    g_entropy,
-    interleaved_to_block,
-    symplectic_eigenvalues,
-    symplectic_form,
-)
+from memchan.gaussian import g_entropy, symplectic_eigenvalues, symplectic_form
 from memchan.information import (
     chi_mode,
     chi_mode_gradient,
@@ -36,7 +30,9 @@ from memchan.information import (
 from memchan.optimize import maximize_classical, maximize_ent_assisted, maximize_quantum
 from memchan.scan import figure_specs, run_scan
 from reference_models import (
+    TwoModeCov,
     brute_force_oracle,
+    interleaved_to_block,
     passive_env_modes,
     passive_spec_from_config,
     purify_single_mode,

@@ -10,15 +10,17 @@ from memchan.entanglement import (
     SeedState,
     env_min_ppt_symplectic,
     env_separability_scan,
-    env_two_mode_cov,
     mean_reduced_entropy,
     separability_boundary_temp,
 )
-from memchan.gaussian import g_entropy, interleaved_to_block, symplectic_eigenvalues
+from memchan.gaussian import g_entropy, symplectic_eigenvalues
 from memchan.information import EncodingParams
 from memchan.optimize import maximize_classical
 from reference_models import (
     env_local_covariance,
+    env_two_mode_cov,
+    interleaved_to_block,
+    ppt_min_symplectic,
     reduce_to_mode,
     seed_local_covariance,
     von_neumann_entropy,
@@ -27,6 +29,9 @@ from reference_models import (
 # 40-digit reference values
 EXP_NEG1_HALF = 0.18393972058572116080  # e^-1 / 2
 BOUNDARY_S1 = 0.85914091422952261768  # (e - 1) / 2
+EXP_NEG10_HALF = 2.2699964881242425768e-5  # e^-10 / 2
+BOUNDARY_S10 = 11012.732897403358258  # (e^10 - 1) / 2
+BOUNDARY_S25 = 36002449668.192936262  # (e^25 - 1) / 2
 
 
 class TestSeedState:
@@ -99,6 +104,22 @@ class TestEnvironmentSeparability:
 
     def test_min_ppt_frozen_value(self):
         assert env_min_ppt_symplectic(1.0, 0.0) == pytest.approx(EXP_NEG1_HALF, abs=1e-14)
+
+    def test_closed_form_matches_dense_ppt_eigensolve(self):
+        # the dense 4x4 path loses digits to roundoff past |s| = 3
+        for s in np.linspace(-3.0, 3.0, 13):
+            for temp in (0.0, 0.4, 2.0, 6.0):
+                want = ppt_min_symplectic(env_two_mode_cov(float(s), temp))
+                assert env_min_ppt_symplectic(float(s), temp) == pytest.approx(want, rel=1e-9)
+
+    def test_closed_forms_hold_at_strong_squeezing(self):
+        assert env_min_ppt_symplectic(10.0, 0.0) == pytest.approx(EXP_NEG10_HALF, rel=1e-14)
+        assert separability_boundary_temp(10.0) == pytest.approx(BOUNDARY_S10, rel=1e-14)
+        assert separability_boundary_temp(-25.0) == pytest.approx(BOUNDARY_S25, rel=1e-14)
+
+    def test_boundary_overflow_raises_value_error(self):
+        with pytest.raises(ValueError):
+            separability_boundary_temp(800.0)
 
     def test_state_itself_is_physical(self):
         cov = interleaved_to_block(env_two_mode_cov(2.0, 0.3).matrix())

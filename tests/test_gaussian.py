@@ -8,16 +8,20 @@ import pytest
 from scipy.linalg import expm
 
 from memchan.gaussian import (
-    TwoModeCov,
     UnphysicalStateError,
     g_entropy,
     g_prime,
-    interleaved_to_block,
-    ppt_min_symplectic,
     symplectic_eigenvalues,
     symplectic_form,
 )
-from reference_models import purify_single_mode, reduce_to_mode, von_neumann_entropy
+from reference_models import (
+    TwoModeCov,
+    interleaved_to_block,
+    ppt_min_symplectic,
+    purify_single_mode,
+    reduce_to_mode,
+    von_neumann_entropy,
+)
 
 getcontext().prec = 50
 

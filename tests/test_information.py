@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from memchan.channel import GlobalEnvMode
-from memchan.gaussian import g_entropy, interleaved_to_block
+from memchan.gaussian import g_entropy
 from memchan.information import (
     EncodingParams,
     chi_mode,
@@ -20,6 +20,7 @@ from memchan.information import (
 from reference_models import (
     coherent_information_rotated,
     holevo_chi,
+    interleaved_to_block,
     purify_single_mode,
     von_neumann_entropy,
 )

@@ -235,6 +235,15 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_separability_scan_at_strong_squeezing(self, capsys):
+        code = main(
+            ["scan", "--quantity", "separability", "--n", "2", "--s-min", "20", "--s-max", "20",
+             "--s-steps", "1"]
+        )
+        assert code == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [(row["T"], row["value_bits"]) for row in rows] == [("0", "1.03057681122e-09")]
+
     def test_figure_without_s_points_exits_2(self, tmp_path, capsys):
         code = main(["figure", "3a", "--s-steps", "0", "--out-dir", str(tmp_path)])
         assert code == 2
