@@ -14,6 +14,7 @@ s_j = s * lambda_j.  Most capacity computations happen in that basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,8 +85,9 @@ class OmegaSpectrum:
         return len(self.lambdas)
 
 
+@functools.lru_cache(maxsize=MAX_MODES)
 def omega_spectrum(n: int) -> OmegaSpectrum:
-    """Closed-form spectrum of the n-mode coupling matrix Omega."""
+    """Closed-form spectrum of Omega; cached per n, so its arrays are read-only."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     lam = np.empty(n)
@@ -97,6 +99,7 @@ def omega_spectrum(n: int) -> OmegaSpectrum:
         lam[n // 2] = 0.0
     j = np.arange(1, n + 1)
     vec = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * math.pi / (n + 1))
+    lam.flags.writeable = vec.flags.writeable = False
     return OmegaSpectrum(lambdas=lam, vectors=vec)
 
 

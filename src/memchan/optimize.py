@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .allocation import _golden_max, allocate_photons
 from .analytic import classical_lower_from_modes
@@ -298,17 +297,51 @@ def _cluster_modes(modes: list[GlobalEnvMode]) -> list[_Group]:
     return groups
 
 
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    # one-sided three-point estimate, clipped to preserve shape
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 class _FastCubic:
-    """Scalar piecewise-cubic evaluator built from a PCHIP interpolant."""
+    """Scalar monotone cubic (PCHIP) through at least two nodes (xs, ys).
+
+    Follows scipy's ``PchipInterpolator`` operation by operation, so breaks
+    and coefficients equal scipy's bit for bit; ``tests/test_optimize.py``
+    holds it to that.
+    """
 
     __slots__ = ("breaks", "coefs", "lo", "hi")
 
     def __init__(self, xs, ys):
-        sp = PchipInterpolator(xs, ys)
-        self.breaks = [float(v) for v in sp.x]
-        self.coefs = sp.c.T.tolist()
-        self.lo = self.breaks[0]
-        self.hi = self.breaks[-1]
+        # float() is exact, and _sign's bool arithmetic fails on numpy scalars
+        xs = [float(v) for v in xs]
+        ys = [float(v) for v in ys]
+        h = [b - a for a, b in zip(xs, xs[1:])]
+        m = [(b - a) / hk for a, b, hk in zip(ys, ys[1:], h)]
+        if len(h) == 1:
+            d = [m[0], m[0]]
+        else:
+            # interior: weighted harmonic mean of the secants, 0 at an extremum
+            d = [_pchip_end_slope(h[0], h[1], m[0], m[1])]
+            for k in range(1, len(h)):
+                w1, w2 = 2 * h[k] + h[k - 1], h[k] + 2 * h[k - 1]
+                d.append(0.0 if _sign(m[k - 1]) * _sign(m[k]) <= 0
+                         else 1.0 / ((w1 / m[k - 1] + w2 / m[k]) / (w1 + w2)))
+            d.append(_pchip_end_slope(h[-1], h[-2], m[-1], m[-2]))
+        self.coefs = []
+        for k, hk in enumerate(h):
+            t = (d[k] + d[k + 1] - 2 * m[k]) / hk
+            self.coefs.append([t / hk, (m[k] - d[k]) / hk - t, d[k], ys[k]])
+        self.breaks, self.lo, self.hi = xs, xs[0], xs[-1]
 
     def __call__(self, x: float) -> float:
         x = min(max(x, self.lo), self.hi)
@@ -481,7 +514,8 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod):
         for j in g.indices:
             group_idx[j] = gi
 
-    if budget <= 0.0:
+    # solve() rounds photon numbers to 1e-10, so a smaller budget only idles
+    if round(budget, 10) <= 0.0:
         params = [(0.0, 0.0, 0.0, 0.0)] * n
         return 0.0, params, 0, True, 0.0
 

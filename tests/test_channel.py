@@ -65,6 +65,13 @@ class TestOmega:
             lam = omega_spectrum(n).lambdas
             assert np.array_equal(lam, -lam[::-1])
 
+    def test_spectrum_is_cached_and_read_only(self):
+        spec = omega_spectrum(7)
+        assert omega_spectrum(7) is spec
+        for arr in (spec.lambdas, spec.vectors):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
     def test_eigenpairs_against_dense_solver(self):
         for n in (1, 2, 3, 10, 37, 50):
             spec = omega_spectrum(n)

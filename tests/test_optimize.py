@@ -1,12 +1,19 @@
 """End-to-end optimizer checks: analytic regime, symmetries, oracle agreement."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from memchan.analytic import classical_lower_analytic, delta_term
 from memchan.channel import ChannelConfig, env_global_modes
 from memchan.gaussian import g_entropy
 from memchan.optimize import (
+    _FastCubic,
     maximize_classical,
     maximize_ent_assisted,
     maximize_ent_assisted_local,
@@ -143,3 +150,78 @@ class TestModesOverride:
         cfg = ChannelConfig(n=5, eta=0.9, s=1.0, temp=0.2, nbar=8.0)
         with pytest.raises(ValueError):
             maximize_classical(cfg, modes=env_global_modes(cfg)[:3])
+
+
+class TestTinyBudget:
+    @pytest.mark.parametrize("nbar", [1e-11, 1e-12])
+    def test_budget_below_node_resolution(self, nbar):
+        # every photon number rounds to the idle node: a zero rate, not a crash
+        cfg = ChannelConfig(n=2, eta=0.9, s=0.5, temp=0.0, nbar=nbar)
+        for fn in (
+            maximize_classical,
+            maximize_quantum,
+            maximize_ent_assisted,
+            maximize_quantum_local,
+            maximize_ent_assisted_local,
+        ):
+            value = fn(cfg).value
+            assert math.isfinite(value) and 0.0 <= value <= 1e-9, fn.__name__
+
+
+def sorted_nodes(rng, k, hi=40.0):
+    return np.unique(np.concatenate(([0.0], rng.uniform(0.0, hi, k - 1))))
+
+
+class TestPchipBridge:
+    """The allocation bridge equals scipy's PchipInterpolator bit for bit."""
+
+    @staticmethod
+    def assert_matches_scipy(xs, ys):
+        cubic = _FastCubic(list(xs), list(ys))
+        reference = PchipInterpolator(xs, ys)
+        assert cubic.breaks == reference.x.tolist()
+        assert cubic.coefs == reference.c.T.tolist()
+
+    def test_two_and_three_nodes(self):
+        rng = np.random.default_rng(0)
+        for k in (2, 3):
+            for _ in range(50):
+                xs = np.sort(rng.choice(np.linspace(0.0, 20.0, 401), k, replace=False))
+                self.assert_matches_scipy(xs.tolist(), rng.normal(size=k).tolist())
+
+    def test_concave_log_curves(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            xs = sorted_nodes(rng, int(rng.integers(4, 40)))
+            ys = rng.uniform(0.1, 3.0) * np.log2(1.0 + rng.uniform(0.2, 5.0) * xs)
+            self.assert_matches_scipy(xs.tolist(), ys.tolist())
+
+    def test_flat_zero_then_rise(self):
+        # the quantum value: exactly zero below a photon threshold, then rising
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            xs = sorted_nodes(rng, int(rng.integers(4, 40)))
+            ys = np.maximum(xs - rng.uniform(0.0, 30.0), 0.0) ** rng.uniform(0.5, 2.0)
+            self.assert_matches_scipy(xs.tolist(), ys.tolist())
+
+    def test_sign_changes(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            xs = sorted_nodes(rng, int(rng.integers(4, 40)))
+            ys = np.round(rng.normal(size=len(xs)), 1)  # includes equal neighbours
+            self.assert_matches_scipy(xs.tolist(), ys.tolist())
+
+    def test_numpy_float64_inputs(self):
+        # memo keys and values can be numpy scalars (from the linspace grids)
+        rng = np.random.default_rng(4)
+        xs = sorted_nodes(rng, 14)
+        ys = np.sin(xs) + 0.1 * xs
+        self.assert_matches_scipy(list(xs), list(ys))
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        code = "import sys, memchan; sys.exit('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},  # as pytest imports it
+        )
+        assert proc.returncode == 0

@@ -244,6 +244,12 @@ class TestCli:
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert [(row["T"], row["value_bits"]) for row in rows] == [("0", "1.03057681122e-09")]
 
+    def test_budget_below_node_resolution_exits_0(self, capsys):
+        code = main(["scan", "--quantity", "quantum", "--n", "2", "--nbar", "1e-11", "--s-steps", "1"])
+        assert code == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row["value_bits"] for row in rows] == ["0"]
+
     def test_figure_without_s_points_exits_2(self, tmp_path, capsys):
         code = main(["figure", "3a", "--s-steps", "0", "--out-dir", str(tmp_path)])
         assert code == 2
