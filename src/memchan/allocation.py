@@ -111,8 +111,8 @@ def allocate_photons(fns, nbar: float, *, return_info: bool = False):
     n = len(fns)
     if n < 1:
         raise AllocationError("need at least one value function")
-    if nbar < 0.0:
-        raise AllocationError(f"photon budget must be >= 0, got nbar={nbar}")
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise AllocationError(f"photon budget must be finite and >= 0, got nbar={nbar}")
 
     budget = n * nbar
     info = {"fallback": False, "mu": 0.0}

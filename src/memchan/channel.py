@@ -121,11 +121,8 @@ class GlobalEnvMode:
 
 def env_global_modes(cfg: ChannelConfig) -> list[GlobalEnvMode]:
     """Per-mode environment parameters in the decoupling basis."""
-    spectrum = omega_spectrum(cfg.n)
-    return [
-        GlobalEnvMode(index=j + 1, s=cfg.s * spectrum.lambdas[j], temp=cfg.temp)
-        for j in range(cfg.n)
-    ]
+    lambdas = omega_spectrum(cfg.n).lambdas.tolist()  # builtin floats, not numpy scalars
+    return [GlobalEnvMode(index=j + 1, s=cfg.s * lambdas[j], temp=cfg.temp) for j in range(cfg.n)]
 
 
 def local_effective_temperature(cfg: ChannelConfig, k: int) -> float:

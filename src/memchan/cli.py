@@ -75,25 +75,20 @@ def _run_scan(args) -> int:
     quantity = args.quantity
     if args.scenario == "local" and not quantity.endswith("-local"):
         if quantity not in _LOCAL_VARIANT:
-            print(f"error: no local variant of {quantity!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"no local variant of {quantity!r}")
         quantity = _LOCAL_VARIANT[quantity]
-    try:
-        spec = ScanSpec.from_ranges(
-            quantity=quantity,
-            n=args.n,
-            nbar=args.nbar,
-            etas=args.eta,
-            temps=args.temp,
-            s_min=args.s_min,
-            s_max=args.s_max,
-            s_steps=args.s_steps,
-            jobs=args.jobs,
-        )
-        rows = run_scan(spec, progress=sys.stderr)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = ScanSpec.from_ranges(
+        quantity=quantity,
+        n=args.n,
+        nbar=args.nbar,
+        etas=args.eta,
+        temps=args.temp,
+        s_min=args.s_min,
+        s_max=args.s_max,
+        s_steps=args.s_steps,
+        jobs=args.jobs,
+    )
+    rows = run_scan(spec, progress=sys.stderr)
     if args.out == "-":
         sys.stdout.write(format_rows(rows, args.format))
     else:
@@ -103,21 +98,14 @@ def _run_scan(args) -> int:
 
 
 def _run_figure(args) -> int:
-    try:
-        paths = emit_figure_data(
-            args.figure_id,
-            args.out_dir,
-            s_steps=args.s_steps,
-            fmt=args.format,
-            jobs=args.jobs,
-            progress=sys.stderr,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    paths = emit_figure_data(
+        args.figure_id,
+        args.out_dir,
+        s_steps=args.s_steps,
+        fmt=args.format,
+        jobs=args.jobs,
+        progress=sys.stderr,
+    )
     for path in paths:
         print(f"wrote {path}", file=sys.stderr)
     return 0
@@ -125,9 +113,15 @@ def _run_figure(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "scan":
-        return _run_scan(args)
-    return _run_figure(args)
+    run = _run_scan if args.command == "scan" else _run_figure
+    try:
+        return run(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

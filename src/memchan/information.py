@@ -58,6 +58,9 @@ class EncodingParams:
         lens = {len(self.t), len(self.r), len(self.c_q), len(self.c_p), len(self.n_j)}
         if len(lens) != 1:
             raise ValueError("per-mode parameter lists must share one length")
+        # NaN fails every ordered comparison below, so finiteness is checked first
+        if not all(math.isfinite(v) for v in (*self.t, *self.r, *self.c_q, *self.c_p, *self.n_j)):
+            raise ValueError("t, r, c_q, c_p and n_j must be finite")
         for j in range(len(self.t)):
             if self.t[j] < -1e-12 or self.c_q[j] < -1e-12 or self.c_p[j] < -1e-12:
                 raise ValueError(f"mode {j + 1}: t, c_q, c_p must be >= 0")

@@ -104,7 +104,15 @@ def _coordinate_ascent(fun, x, bounds):
     return x, best
 
 
-def _chi_inner(s_abs: float, temp: float, eta: float, nj: float, warm=None):
+def _tr_bounds(cap: float, i: int, x) -> tuple[float, float]:
+    """Interval of t (i = 0) or r (i = 1) on (t + 1/2) cosh r <= cap, the other fixed."""
+    if i == 0:
+        return 0.0, max(cap / math.cosh(x[1]) - 0.5, 0.0)
+    rm = math.acosh(max(cap / (x[0] + 0.5), 1.0))
+    return -rm, rm
+
+
+def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, warm=None):
     """Best per-mode Holevo information at photon number nj.
 
     Returns (value, (t, r, c_q, c_p)).  Parametrized by the seed (t, r) and
@@ -113,10 +121,7 @@ def _chi_inner(s_abs: float, temp: float, eta: float, nj: float, warm=None):
     """
     if nj <= 1e-13:
         return 0.0, (0.0, 0.0, 0.0, 0.0)
-    mode = GlobalEnvMode(0, s_abs, temp)
     cap = nj + 0.5
-    env_q = (temp + 0.5) * math.exp(s_abs)
-    env_p = (temp + 0.5) * math.exp(-s_abs)
 
     def split(t, r, f):
         ctot = max(2.0 * (cap - (t + 0.5) * math.cosh(r)), 0.0)
@@ -129,18 +134,16 @@ def _chi_inner(s_abs: float, temp: float, eta: float, nj: float, warm=None):
 
     def balance_f(t, r):
         # modulation split that equalizes the two output quadratures
-        v = t + 0.5
-        ctot = 2.0 * (cap - v * math.cosh(r))
+        ctot = 2.0 * (cap - (t + 0.5) * math.cosh(r))
         if ctot <= 0.0:
             return 0.5
-        oq = eta * v * math.exp(r) + (1.0 - eta) * env_q
-        op = eta * v * math.exp(-r) + (1.0 - eta) * env_p
+        oq, op, _, _ = _outputs(t, r, 0.0, 0.0, mode, eta)
         cq = 0.5 * (ctot + (op - oq) / eta)
         return min(max(cq / ctot, 0.0), 1.0)
 
     rmax0 = math.acosh(2.0 * nj + 1.0)
     seeds = []
-    r_match = min(s_abs, rmax0 * (1.0 - 1e-12))
+    r_match = min(mode.s, rmax0 * (1.0 - 1e-12))
     seeds.append((0.0, r_match, balance_f(0.0, r_match)))
     r_deep = min(math.log(2.0 * nj + 1.0), rmax0 * (1.0 - 1e-12))
     seeds.append((0.0, r_deep, balance_f(0.0, r_deep)))
@@ -156,12 +159,7 @@ def _chi_inner(s_abs: float, temp: float, eta: float, nj: float, warm=None):
     start = max(seeds, key=value)
 
     def bounds(i, x):
-        if i == 0:
-            return 0.0, max(cap / math.cosh(x[1]) - 0.5, 0.0)
-        if i == 1:
-            rm = math.acosh(max(cap / (x[0] + 0.5), 1.0))
-            return -rm, rm
-        return 0.0, 1.0
+        return _tr_bounds(cap, i, x) if i < 2 else (0.0, 1.0)
 
     x, best = _coordinate_ascent(value, list(start), bounds)
     t, r, f = x
@@ -169,46 +167,46 @@ def _chi_inner(s_abs: float, temp: float, eta: float, nj: float, warm=None):
     return best, (t, r, cq, cp)
 
 
-def _pre_grid_2d(value, t_hi, r_hi):
-    best_x, best_v = None, -math.inf
-    for t in np.linspace(0.0, 1.0, 9) ** 1.5 * t_hi:
-        for r in np.linspace(-r_hi, r_hi, 11):
-            v = value([t, r])
-            if v > best_v:
-                best_x, best_v = [float(t), float(r)], v
-    return best_x, best_v
+def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, warm):
+    """Best per-mode kernel(t, r, mode, eta) at photon number nj, floored at 0.
 
+    Idling (t = 0) always achieves zero, so the returned value is
+    nonnegative.  Returns (value, (t, r, 0.0, 0.0)).
+    """
+    if nj <= 1e-13:
+        return 0.0, (0.0, 0.0, 0.0, 0.0)
+    cap = nj + 0.5
+    rmax = math.acosh(2.0 * nj + 1.0) * (1.0 - 1e-12)
 
-def _seed_ascent_2d(value, cap, nj, warm):
-    rmax0 = math.acosh(2.0 * nj + 1.0)
-    rmax = rmax0 * (1.0 - 1e-12)
-
-    def feasible(x):
-        return (x[0] + 0.5) * math.cosh(x[1]) <= cap
+    def value(x):
+        return kernel(x[0], x[1], mode, eta)
 
     def guarded(x):
-        return value(x) if feasible(x) else -math.inf
+        return value(x) if (x[0] + 0.5) * math.cosh(x[1]) <= cap else -math.inf
 
     def bounds(i, x):
-        if i == 0:
-            return 0.0, max(cap / math.cosh(x[1]) - 0.5, 0.0)
-        rm = math.acosh(max(cap / (x[0] + 0.5), 1.0))
-        return -rm, rm
+        return _tr_bounds(cap, i, x)
 
     def on_ridge(r):
-        return [max(cap / math.cosh(r) - 0.5, 0.0), float(r)]
+        return [_tr_bounds(cap, 0, (0.0, r))[1], float(r)]
 
     def ridge(r):
         return value(on_ridge(r))
 
-    start, best = _pre_grid_2d(guarded, nj, rmax)
+    # coarse (t, r) grid, then all photons thermal, then the warm start
+    start, best = None, -math.inf
+    for t in np.linspace(0.0, 1.0, 9) ** 1.5 * nj:
+        for r in np.linspace(-rmax, rmax, 11):
+            v = guarded([t, r])
+            if v > best:
+                start, best = [float(t), float(r)], v
     v = guarded([nj, 0.0])  # all photons thermal, no squeezing
     if v > best:
         start, best = [nj, 0.0], v
     if warm is not None:
         t_w = min(max(warm[0], 0.0), nj)
-        rm = math.acosh(max(cap / (t_w + 0.5), 1.0))
-        cand = [t_w, min(max(warm[1], -rm), rm)]
+        lo, hi = _tr_bounds(cap, 1, (t_w, 0.0))
+        cand = [t_w, min(max(warm[1], lo), hi)]
         v = guarded(cand)
         if v > best:
             start, best = cand, v
@@ -234,24 +232,6 @@ def _seed_ascent_2d(value, cap, nj, warm):
             break
         x, best = on_ridge(r_b), v_b
         x, best = _coordinate_ascent(guarded, x, bounds)
-    return best, x
-
-
-def _seed_inner(kernel, s_abs: float, temp: float, eta: float, nj: float, warm):
-    """Best per-mode kernel(t, r, mode, eta) at photon number nj, floored at 0.
-
-    Idling (t = 0) always achieves zero, so the returned value is
-    nonnegative.  Returns (value, (t, r, 0.0, 0.0)).
-    """
-    if nj <= 1e-13:
-        return 0.0, (0.0, 0.0, 0.0, 0.0)
-    mode = GlobalEnvMode(0, s_abs, temp)
-    cap = nj + 0.5
-
-    def value(x):
-        return kernel(x[0], x[1], mode, eta)
-
-    best, x = _seed_ascent_2d(value, cap, nj, warm and warm[:2])
     if best <= 0.0:
         return 0.0, (0.0, 0.0, 0.0, 0.0)
     return best, (x[0], x[1], 0.0, 0.0)
@@ -259,14 +239,14 @@ def _seed_inner(kernel, s_abs: float, temp: float, eta: float, nj: float, warm):
 
 # Each kernel is looked up at call time, so a wrapper put on this module's
 # attribute (as the benchmark's tracer does) sees every call.
-def _j_inner(s_abs: float, temp: float, eta: float, nj: float, warm=None):
+def _j_inner(mode: GlobalEnvMode, eta: float, nj: float, warm=None):
     """Best per-mode coherent information at photon number nj, floored at 0."""
-    return _seed_inner(coherent_information, s_abs, temp, eta, nj, warm)
+    return _seed_inner(coherent_information, mode, eta, nj, warm)
 
 
-def _i_inner(s_abs: float, temp: float, eta: float, nj: float, warm=None):
+def _i_inner(mode: GlobalEnvMode, eta: float, nj: float, warm=None):
     """Best per-mode quantum mutual information at photon number nj."""
-    return _seed_inner(quantum_mutual_information, s_abs, temp, eta, nj, warm)
+    return _seed_inner(quantum_mutual_information, mode, eta, nj, warm)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +255,7 @@ def _i_inner(s_abs: float, temp: float, eta: float, nj: float, warm=None):
 
 @dataclass
 class _Group:
-    s_abs: float
-    temp: float
+    mode: GlobalEnvMode  # the |s| representative, index 0
     indices: list[int] = field(default_factory=list)
 
 
@@ -288,12 +267,12 @@ def _cluster_modes(modes: list[GlobalEnvMode]) -> list[_Group]:
         s_abs = abs(modes[j].s)
         temp = modes[j].temp
         if groups and (
-            abs(groups[-1].s_abs - s_abs) <= 1e-12 * (1.0 + s_abs)
-            and abs(groups[-1].temp - temp) <= 1e-12 * (1.0 + temp)
+            abs(groups[-1].mode.s - s_abs) <= 1e-12 * (1.0 + s_abs)
+            and abs(groups[-1].mode.temp - temp) <= 1e-12 * (1.0 + temp)
         ):
             groups[-1].indices.append(j)
         else:
-            groups.append(_Group(s_abs, temp, [j]))
+            groups.append(_Group(GlobalEnvMode(0, s_abs, temp), [j]))
     return groups
 
 
@@ -355,14 +334,16 @@ class _FastCubic:
 class _GroupSolver:
     """Memoized per-group value of spending x photons on one mode."""
 
-    def __init__(self, group: _Group, eta: float, inner):
+    def __init__(self, group: _Group, eta: float, inner, marginal):
         self.group = group
         self.eta = eta
         self.inner = inner
+        self.envelope = marginal
         self.memo: dict[float, tuple[float, tuple]] = {}  # one entry per inner solve
 
     def solve(self, nj: float) -> tuple[float, tuple]:
-        key = round(max(nj, 0.0), 10)
+        # numpy rounds, then float() keeps numpy scalars out of the results
+        key = float(round(max(nj, 0.0), 10))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -370,19 +351,28 @@ class _GroupSolver:
         if self.memo:
             nearest = min(self.memo, key=lambda k: abs(k - key))
             warm = self.memo[nearest][1]
-        out = self.inner(self.group.s_abs, self.group.temp, self.eta, key, warm)
+        out = self.inner(self.group.mode, self.eta, key, warm)
         self.memo[key] = out
         return out
 
+    def marginal(self, y: float, budget: float) -> float:
+        """dV/dN at y photons: the envelope marginal, else a finite difference."""
+        out = self.solve(y)
+        m = self.envelope(self.group.mode, self.eta, max(y, 0.0), out)
+        if m is None:
+            h = max(1e-3 * (1.0 + y), 1e-4)
+            lo = max(y - h, 0.0)
+            hi = min(y + h, budget)
+            m = (self.solve(hi)[0] - self.solve(lo)[0]) / (hi - lo)
+        return m
 
-def _mirror_params(params: tuple, s: float, swap_mod: bool) -> tuple:
+
+def _mirror_params(params: tuple, s: float) -> tuple:
     # a -s mode is the q<->p image of its +s partner
     t, r, cq, cp = params
     if s >= 0.0:
         return t, r, cq, cp
-    if swap_mod:
-        return t, -r, cp, cq
-    return t, -r, cq, cp
+    return t, -r, cp, cq
 
 
 # Envelope-theorem marginals dV/dN of the per-mode value functions at the
@@ -391,14 +381,13 @@ def _mirror_params(params: tuple, s: float, swap_mod: bool) -> tuple:
 # point gives no usable envelope (caller falls back to a finite difference).
 
 
-def _chi_marginal(s_abs: float, temp: float, eta: float, nj: float, out) -> float | None:
+def _chi_marginal(mode: GlobalEnvMode, eta: float, nj: float, out) -> float | None:
     _, (t, r, cq, cp) = out
     ctot = cq + cp
     if ctot <= 1e-12:
         return None
     # only the modulation derivatives are needed; they stay finite even at a
     # pure output-noise state, where the full gradient has a g'(0) edge
-    mode = GlobalEnvMode(0, s_abs, temp)
     oq, op, aq, ap = _outputs(t, r, cq, cp, mode, eta)
     nu_bar = math.sqrt(aq * ap)
     if nu_bar - 0.5 <= 0.0:
@@ -411,10 +400,10 @@ def _chi_marginal(s_abs: float, temp: float, eta: float, nj: float, out) -> floa
     return 2.0 * (f * d_cq + (1.0 - f) * d_cp)
 
 
-def _constrained_marginal(gradient, s_abs, temp, eta, t, r, nj) -> float | None:
+def _constrained_marginal(gradient, mode, eta, t, r, nj) -> float | None:
     # multiplier of (t+1/2) cosh r - 1/2 <= nj via least-squares projection
     try:
-        d_t, d_r = gradient(t, r, GlobalEnvMode(0, s_abs, temp), eta)
+        d_t, d_r = gradient(t, r, mode, eta)
     except (ValueError, ZeroDivisionError):
         return None
     photons = (t + 0.5) * math.cosh(r) - 0.5
@@ -425,32 +414,21 @@ def _constrained_marginal(gradient, s_abs, temp, eta, t, r, nj) -> float | None:
     return (d_t * g_t + d_r * g_r) / (g_t * g_t + g_r * g_r)
 
 
-def _j_marginal(s_abs: float, temp: float, eta: float, nj: float, out) -> float | None:
+def _j_marginal(mode: GlobalEnvMode, eta: float, nj: float, out) -> float | None:
     value, (t, r, _, _) = out
     if value <= 0.0 and t == 0.0 and r == 0.0:
         return 0.0  # idled mode sits on the J = 0 floor
-    return _constrained_marginal(coherent_information_gradient, s_abs, temp, eta, t, r, nj)
+    return _constrained_marginal(coherent_information_gradient, mode, eta, t, r, nj)
 
 
-def _i_marginal(s_abs: float, temp: float, eta: float, nj: float, out) -> float | None:
+def _i_marginal(mode: GlobalEnvMode, eta: float, nj: float, out) -> float | None:
     _, (t, r, _, _) = out
     if t <= 0.0:
         return None  # g'(t) diverges at the origin
-    return _constrained_marginal(quantum_mutual_information_gradient, s_abs, temp, eta, t, r, nj)
+    return _constrained_marginal(quantum_mutual_information_gradient, mode, eta, t, r, nj)
 
 
-def _group_marginal(solver: _GroupSolver, marginal, y: float, budget: float) -> float:
-    out = solver.solve(y)
-    m = marginal(solver.group.s_abs, solver.group.temp, solver.eta, max(y, 0.0), out)
-    if m is None:
-        h = max(1e-3 * (1.0 + y), 1e-4)
-        lo = max(y - h, 0.0)
-        hi = min(y + h, budget)
-        m = (solver.solve(hi)[0] - solver.solve(lo)[0]) / (hi - lo)
-    return m
-
-
-def _exact_refine(solvers, weights, budget, marginal, start):
+def _exact_refine(solvers, weights, budget, start):
     """Equalize exact marginals across groups by damped Newton water-filling.
 
     ``start`` is a per-group allocation summing (with weights) to budget;
@@ -467,8 +445,8 @@ def _exact_refine(solvers, weights, budget, marginal, start):
         slope = np.empty(m_count)
         for i, solver in enumerate(solvers):
             probe = max(0.02 * (1.0 + x[i]), 1e-3)
-            m0 = _group_marginal(solver, marginal, x[i], budget)
-            m1 = _group_marginal(solver, marginal, x[i] + probe, budget)
+            m0 = solver.marginal(x[i], budget)
+            m1 = solver.marginal(x[i] + probe, budget)
             marg[i] = m0
             slope[i] = min((m1 - m0) / probe, -1e-12)
         active = np.ones(m_count, dtype=bool)
@@ -498,7 +476,7 @@ def _exact_refine(solvers, weights, budget, marginal, start):
     return x
 
 
-def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod):
+def _optimize_grouped(modes, eta, nbar, inner, marginal):
     """Water-filled maximization of a per-mode additive objective.
 
     Returns (total_value, per-mode params, iterations, converged,
@@ -507,7 +485,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod):
     n = len(modes)
     budget = n * nbar
     groups = _cluster_modes(modes)
-    solvers = [_GroupSolver(g, eta, inner) for g in groups]
+    solvers = [_GroupSolver(g, eta, inner, marginal) for g in groups]
     weights = np.array([float(len(g.indices)) for g in groups])
     group_idx = [0] * n
     for gi, g in enumerate(groups):
@@ -550,7 +528,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod):
     start = np.array([
         math.fsum(seed_alloc[j] for j in g.indices) / len(g.indices) for g in groups
     ])
-    refined = _exact_refine(solvers, weights, budget, marginal, start)
+    refined = _exact_refine(solvers, weights, budget, start)
     candidates.append(np.array([refined[group_idx[j]] for j in range(n)]))
 
     best_alloc = max(candidates, key=exact_total)
@@ -559,7 +537,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod):
     params = []
     for j in range(n):
         raw = solvers[group_idx[j]].solve(best_alloc[j])[1]
-        params.append(_mirror_params(raw, modes[j].s, swap_mod))
+        params.append(_mirror_params(raw, modes[j].s))
 
     # KKT residual: marginal-value spread across active groups, plus any
     # idle group whose entry marginal beats the active level
@@ -569,7 +547,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal, swap_mod):
     for g, solver in zip(groups, solvers):
         y = float(best_alloc[g.indices[0]])
         if y > 1e-6:
-            active.append(_group_marginal(solver, marginal, y, budget))
+            active.append(solver.marginal(y, budget))
         else:
             h = max(1e-3 * (1.0 + y), 1e-4)
             idle.append((solver.solve(y + h)[0] - solver.solve(max(y - h, 0.0))[0]) / (2 * h - max(h - y, 0.0)))
@@ -627,9 +605,7 @@ def maximize_classical(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = N
     except ValueError:
         bound = None
 
-    total, param_list, iters, ok, kkt = _optimize_grouped(
-        modes, eta, nbar, _chi_inner, _chi_marginal, swap_mod=True
-    )
+    total, param_list, iters, ok, kkt = _optimize_grouped(modes, eta, nbar, _chi_inner, _chi_marginal)
 
     if bound is not None and bound.valid and bound.value * n >= total:
         # closed-form optimum wins (up to solver tolerance): report it exactly
@@ -661,9 +637,7 @@ def maximize_ent_assisted(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None 
 
 def _maximize_seed_only(cfg: ChannelConfig, modes, inner, marginal) -> OptResult:
     # encodings without modulation and without a closed form to compare with
-    total, param_list, iters, ok, kkt = _optimize_grouped(
-        modes, cfg.eta, cfg.nbar, inner, marginal, swap_mod=False
-    )
+    total, param_list, iters, ok, kkt = _optimize_grouped(modes, cfg.eta, cfg.nbar, inner, marginal)
     return OptResult(
         max(total, 0.0) / cfg.n, _params_from_list(param_list), ok, iters, math.nan, kkt
     )

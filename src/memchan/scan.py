@@ -235,36 +235,19 @@ def write_rows(rows: list[dict], path, fmt: str, columns=COLUMNS) -> Path:
     return path
 
 
-# Grids behind the standard figure panels: n=10 curves of value vs |s| on
-# [0, 3], except the two-use panel which scans the (s, T) plane at n=2.
-_FIG_ETAS = {
-    "2a": (0.1, 0.3, 0.5, 0.7, 0.9),
-    "2b": (0.9,),
-    "3a": (0.6, 0.7, 0.8, 0.9),
-    "3b": (0.9,),
-    "4a": (0.1, 0.3, 0.5, 0.7, 0.9),
-    "4b": (0.9,),
-    "5": (0.9,),
+# Grids behind the standard figure panels, panel -> (etas, temps, quantities):
+# n=10 curves of value vs |s| on [0, 3], except the two-use panel 6, which
+# scans the (s, T) plane at n=2.
+_FIGURES = {
+    "2a": ((0.1, 0.3, 0.5, 0.7, 0.9), (0.0,), ("classical-lower", "classical-local")),
+    "2b": ((0.9,), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), ("classical-lower", "classical-local")),
+    "3a": ((0.6, 0.7, 0.8, 0.9), (0.0,), ("quantum", "quantum-local")),
+    "3b": ((0.9,), (0.0, 0.5, 1.0, 1.5), ("quantum", "quantum-local")),
+    "4a": ((0.1, 0.3, 0.5, 0.7, 0.9), (0.0,), ("ent-assisted", "ent-assisted-local")),
+    "4b": ((0.9,), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0), ("ent-assisted", "ent-assisted-local")),
+    "5": ((0.9,), (0.0,), ("seed-entropy",)),
 }
-_FIG_TEMPS = {
-    "2a": (0.0,),
-    "2b": (0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
-    "3a": (0.0,),
-    "3b": (0.0, 0.5, 1.0, 1.5),
-    "4a": (0.0,),
-    "4b": (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
-    "5": (0.0,),
-}
-_FIG_QUANTITIES = {
-    "2a": ("classical-lower", "classical-local"),
-    "2b": ("classical-lower", "classical-local"),
-    "3a": ("quantum", "quantum-local"),
-    "3b": ("quantum", "quantum-local"),
-    "4a": ("ent-assisted", "ent-assisted-local"),
-    "4b": ("ent-assisted", "ent-assisted-local"),
-    "5": ("seed-entropy",),
-}
-FIGURE_IDS = ("2a", "2b", "3a", "3b", "4a", "4b", "5", "6")
+FIGURE_IDS = (*_FIGURES, "6")
 
 
 def figure_specs(figure_id: str, s_steps: int = 31, jobs: int = 1) -> list[ScanSpec]:
@@ -278,11 +261,11 @@ def figure_specs(figure_id: str, s_steps: int = 31, jobs: int = 1) -> list[ScanS
                                  s_min=0.0, s_max=3.0, s_steps=s_steps, jobs=jobs)
             for q in ("classical-lower", "seed-entropy", "quantum", "ent-assisted", "separability")
         ]
+    etas, temps, quantities = _FIGURES[figure_id]
     return [
-        ScanSpec.from_ranges(q, n=10, nbar=8.0, etas=_FIG_ETAS[figure_id],
-                             temps=_FIG_TEMPS[figure_id], s_min=0.0, s_max=3.0,
+        ScanSpec.from_ranges(q, n=10, nbar=8.0, etas=etas, temps=temps, s_min=0.0, s_max=3.0,
                              s_steps=s_steps, jobs=jobs)
-        for q in _FIG_QUANTITIES[figure_id]
+        for q in quantities
     ]
 
 

@@ -79,3 +79,6 @@ class TestInfoAndErrors:
             allocate_photons([], 1.0)
         with pytest.raises(AllocationError):
             allocate_photons([lambda x: x] * 2, -1.0)
+        for nbar in (math.nan, math.inf):
+            with pytest.raises(AllocationError):
+                allocate_photons([lambda x: x] * 2, nbar)

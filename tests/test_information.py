@@ -223,6 +223,13 @@ class TestEncodingParams:
         with pytest.raises(ValueError):
             EncodingParams(t=(0.5,), r=(0.0,), c_q=(0.0,), c_p=(0.0,), n_j=(3.0,))
 
+    def test_rejects_nan_entries(self):
+        # NaN passes the sign and energy-identity comparisons
+        with pytest.raises(ValueError):
+            EncodingParams.from_free([math.nan], [0.0], [0.0], [0.0])
+        with pytest.raises(ValueError):
+            EncodingParams(t=(1.0,), r=(0.0,), c_q=(0.0,), c_p=(0.0,), n_j=(math.nan,))
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             EncodingParams.from_free([0.5], [0.0, 0.0], [0.0], [0.0])

@@ -1,5 +1,8 @@
 """End-to-end optimizer checks: analytic regime, symmetries, oracle agreement."""
 
+import dataclasses
+import functools
+import json
 import math
 import os
 import subprocess
@@ -166,6 +169,52 @@ class TestTinyBudget:
         ):
             value = fn(cfg).value
             assert math.isfinite(value) and 0.0 <= value <= 1e-9, fn.__name__
+
+
+OPTIMIZERS = (
+    maximize_classical,
+    maximize_quantum,
+    maximize_ent_assisted,
+    maximize_quantum_local,
+    maximize_ent_assisted_local,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def solved_outside_closed_form(fn, s):
+    # classical_lower_analytic is invalid here, so every value is water-filled
+    return fn(ChannelConfig(n=10, eta=0.9, s=s, temp=1.0, nbar=8.0))
+
+
+class TestResultTypes:
+    @pytest.mark.parametrize("fn", OPTIMIZERS, ids=lambda fn: fn.__name__)
+    def test_builtin_scalars_and_json(self, fn):
+        res = solved_outside_closed_form(fn, 2.0)
+        # numpy.float64 subclasses float, so the exact type is checked
+        assert type(res.value) is float and type(res.gap_to_analytic) is float
+        assert type(res.kkt_residual) is float
+        assert type(res.converged) is bool and type(res.iterations) is int
+        for name, values in dataclasses.asdict(res.params).items():
+            assert all(type(v) is float for v in values), name
+        json.dumps(dataclasses.asdict(res))
+
+
+class TestMirroredEncodings:
+    @pytest.mark.parametrize("s", [2.0, -2.0])
+    @pytest.mark.parametrize("fn", OPTIMIZERS[:3], ids=lambda fn: fn.__name__)
+    def test_partner_modes_are_q_p_images(self, fn, s):
+        # modes j and n+1-j see squeezing s_j and -s_j
+        assert not classical_lower_analytic(ChannelConfig(n=10, eta=0.9, s=s, temp=1.0,
+                                                          nbar=8.0)).valid
+        p = solved_outside_closed_form(fn, s).params
+        n = p.n_modes
+        for j in range(n // 2):
+            k = n - 1 - j
+            assert p.t[k] == p.t[j]
+            assert p.r[k] == -p.r[j]
+            assert (p.c_q[k], p.c_p[k]) == (p.c_p[j], p.c_q[j])
+        if fn is not maximize_classical:
+            assert set(p.c_q) | set(p.c_p) == {0.0}
 
 
 def sorted_nodes(rng, k, hi=40.0):

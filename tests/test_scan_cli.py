@@ -214,6 +214,15 @@ class TestCli:
         assert code == 0
         assert len(json.loads(out.read_text())) == 4
 
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["scan", "--quantity", "classical-upper", "--n", "2", "--s-steps", "1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        # the progress tick comes first, then one error line and no traceback
+        assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+
     def test_bad_eta_list_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["scan", "--quantity", "quantum", "--eta", "0.9,x"])
