@@ -114,7 +114,7 @@ def allocate_photons(fns, nbar: float, *, return_info: bool = False):
     if not (math.isfinite(nbar) and nbar >= 0.0):
         raise AllocationError(f"photon budget must be finite and >= 0, got nbar={nbar}")
 
-    budget = n * nbar
+    budget = n * float(nbar)  # an integer nbar would make the allocation an int array
     info = {"fallback": False, "mu": 0.0}
     if budget <= 0.0:
         x = np.zeros(n)

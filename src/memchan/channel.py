@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +53,15 @@ class ChannelConfig:
     nbar: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+        # kept as builtin int and floats: integer or numpy inputs go no further
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
             raise ValueError(f"n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", operator.index(self.n))
+        for name in ("eta", "s", "temp", "nbar"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 1 <= self.n <= MAX_MODES:
             raise ValueError(f"n must be in 1..{MAX_MODES}, got {self.n}")
         if not 0.0 <= self.eta <= 1.0:

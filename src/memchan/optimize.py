@@ -1,16 +1,16 @@
 """Numerical maximization of the capacity quantities over Gaussian encodings.
 
-Structure: an outer water-filling loop allocates the photon budget across
-the decoupled modes, an inner derivative-free coordinate descent (golden
-section line searches) optimizes each mode's encoding at fixed photon
-number.  Modes come in +s/-s pairs with identical value functions, so the
-per-mode value of photons is solved once per pair on a node grid, bridged
-by a monotone cubic, water-filled, and re-solved exactly at the returned
-allocation; three refinement rounds keep adding nodes near the optimum.
-The analytic optimum and the infinite-squeezing encoding seed the inner
-descent.  Wherever the classical closed form is valid and at least the
-water-filled total, it is reported exactly, so inside the analytic validity
-region the optimizer's value is never below the closed form.
+Wherever the classical closed form is valid it is the capacity, so
+``maximize_classical`` returns it and its encoding without a numeric solve.
+Everywhere else, and for every other quantity, an outer water-filling loop
+allocates the photon budget across the decoupled modes, and an inner
+derivative-free coordinate descent (golden section line searches) optimizes
+each mode's encoding at fixed photon number.  Modes come in +s/-s pairs with
+identical value functions, so the per-mode value of photons is solved once
+per pair on a node grid, bridged by a monotone cubic, water-filled, and
+re-solved exactly at the returned allocation; three refinement rounds keep
+adding nodes near the optimum.  The analytic optimum and the
+infinite-squeezing encoding seed the inner descent.
 """
 
 from __future__ import annotations
@@ -48,21 +48,18 @@ __all__ = [
 class OptResult:
     """Outcome of a capacity optimization.
 
-    value            bits per channel use
-    params           optimal encoding across modes (None only on failure)
-    converged        allocation finished cleanly and kkt_residual <= 1e-4
-    iterations       number of inner per-mode optimizations performed
-    gap_to_analytic  value minus the analytic lower bound, NaN when the
-                     bound is invalid or not applicable
-    kkt_residual     spread of the marginal photon values across active
-                     mode groups at the final allocation
+    value         bits per channel use
+    params        optimal encoding across modes
+    converged     allocation finished cleanly and kkt_residual <= 1e-4
+    iterations    inner per-mode optimizations performed (0 for a closed form)
+    kkt_residual  spread of the marginal photon values across active mode
+                  groups at the final allocation (0 for a closed form)
     """
 
     value: float
-    params: EncodingParams | None
+    params: EncodingParams
     converged: bool
     iterations: int
-    gap_to_analytic: float
     kkt_residual: float
 
 
@@ -589,34 +586,30 @@ def _resolve_modes(cfg: ChannelConfig, modes):
 def maximize_classical(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = None) -> OptResult:
     """Maximal Holevo rate over Gaussian encodings, bits per channel use.
 
-    ``modes`` overrides the environment modes (e.g. from a passive-form
-    spec); they must match cfg.n, cfg.eta, cfg.nbar still apply.
+    Where ``classical_lower_from_modes`` is valid, its closed form is the
+    capacity and is returned with its encoding and 0 iterations; elsewhere
+    the water-filled numeric optimum is.  ``modes`` overrides the
+    environment modes (e.g. from a passive-form spec); they must match
+    cfg.n, cfg.eta, cfg.nbar still apply.
     """
     modes = _resolve_modes(cfg, modes)
     n, eta, nbar = cfg.n, cfg.eta, cfg.nbar
     if eta <= 0.0:
-        return OptResult(0.0, _idle_params(n), True, 0, 0.0, 0.0)
+        return OptResult(0.0, _idle_params(n), True, 0, 0.0)
     if eta >= 1.0:
         params = EncodingParams.from_free([0.0] * n, [0.0] * n, [nbar] * n, [nbar] * n)
-        return OptResult(g_entropy(nbar), params, True, 0, 0.0, 0.0)
+        return OptResult(g_entropy(nbar), params, True, 0, 0.0)
 
     try:
         bound = classical_lower_from_modes(modes, eta, nbar)
     except ValueError:
         bound = None
+    if bound is not None and bound.valid:
+        param_list = [(pm.t, pm.r, max(pm.c_q, 0.0), max(pm.c_p, 0.0)) for pm in bound.per_mode]
+        return OptResult(bound.value, _params_from_list(param_list), True, 0, 0.0)
 
     total, param_list, iters, ok, kkt = _optimize_grouped(modes, eta, nbar, _chi_inner, _chi_marginal)
-
-    if bound is not None and bound.valid and bound.value * n >= total:
-        # closed-form optimum wins (up to solver tolerance): report it exactly
-        total = bound.value * n
-        param_list = [
-            (pm.t, pm.r, max(pm.c_q, 0.0), max(pm.c_p, 0.0)) for pm in bound.per_mode
-        ]
-
-    value = total / n
-    gap = value - bound.value if (bound is not None and bound.valid) else math.nan
-    return OptResult(value, _params_from_list(param_list), ok, iters, gap, kkt)
+    return OptResult(total / n, _params_from_list(param_list), ok, iters, kkt)
 
 
 def maximize_quantum(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = None) -> OptResult:
@@ -626,7 +619,7 @@ def maximize_quantum(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = Non
     """
     modes = _resolve_modes(cfg, modes)
     if cfg.eta < 0.5:
-        return OptResult(0.0, _idle_params(cfg.n), True, 0, math.nan, 0.0)
+        return OptResult(0.0, _idle_params(cfg.n), True, 0, 0.0)
     return _maximize_seed_only(cfg, modes, _j_inner, _j_marginal)
 
 
@@ -638,9 +631,7 @@ def maximize_ent_assisted(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None 
 def _maximize_seed_only(cfg: ChannelConfig, modes, inner, marginal) -> OptResult:
     # encodings without modulation and without a closed form to compare with
     total, param_list, iters, ok, kkt = _optimize_grouped(modes, cfg.eta, cfg.nbar, inner, marginal)
-    return OptResult(
-        max(total, 0.0) / cfg.n, _params_from_list(param_list), ok, iters, math.nan, kkt
-    )
+    return OptResult(max(total, 0.0) / cfg.n, _params_from_list(param_list), ok, iters, kkt)
 
 
 def _local_modes(cfg: ChannelConfig) -> list[GlobalEnvMode]:

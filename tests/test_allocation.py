@@ -26,6 +26,12 @@ class TestBasicProperties:
         assert np.all(alloc >= 0.0)
         assert math.fsum(alloc) == pytest.approx(6.0, abs=1e-9)
 
+    def test_integer_budget(self):
+        # an int budget must not give an int64 allocation, which cannot be rescaled in place
+        alloc = allocate_photons([lambda x: x] * 2, 8)
+        assert alloc.dtype == np.float64
+        assert alloc.tolist() == allocate_photons([lambda x: x] * 2, 8.0).tolist() == [8.0, 8.0]
+
     def test_zero_budget(self):
         alloc = allocate_photons([g_entropy] * 4, 0.0)
         assert np.array_equal(alloc, np.zeros(4))

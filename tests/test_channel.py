@@ -43,6 +43,18 @@ class TestConfig:
                     {"nbar": math.nan}, {"nbar": math.inf}):
             with pytest.raises(ValueError):
                 ChannelConfig(**{"n": 2, "eta": 0.5, "s": 1.0, **bad})
+        for bad in ({"n": 2.0}, {"n": True}, {"n": "2"}, {"eta": "0.5"}, {"s": None},
+                    {"temp": 1j}, {"nbar": "8"}):
+            with pytest.raises(ValueError):
+                ChannelConfig(**{"n": 2, "eta": 0.5, "s": 1.0, **bad})
+
+    def test_stores_builtin_numbers(self):
+        cfg = ChannelConfig(n=np.int64(3), eta=np.float32(0.9), s=1, temp=np.float64(0.5), nbar=8)
+        assert type(cfg.n) is int and cfg.n == 3
+        for name in ("eta", "s", "temp", "nbar"):
+            assert type(getattr(cfg, name)) is float, name
+        assert cfg.eta == float(np.float32(0.9))
+        assert cfg == ChannelConfig(n=3, eta=float(np.float32(0.9)), s=1.0, temp=0.5, nbar=8.0)
 
 
 class TestOmega:

@@ -16,14 +16,18 @@ from memchan.analytic import classical_lower_analytic, delta_term
 from memchan.channel import ChannelConfig, env_global_modes
 from memchan.gaussian import g_entropy
 from memchan.optimize import (
+    _chi_inner,
+    _chi_marginal,
     _FastCubic,
+    _optimize_grouped,
     maximize_classical,
     maximize_ent_assisted,
     maximize_ent_assisted_local,
     maximize_quantum,
     maximize_quantum_local,
 )
-from reference_models import brute_force_oracle
+from reference_models import brute_force_oracle, passive_env_modes, passive_spec_from_config
+from test_acceptance import FIG2A_ETAS, cfg10, valid_s_points
 
 G_OF_7P2 = 4.386538332596274923
 
@@ -36,7 +40,11 @@ class TestClassical:
         assert bound.valid
         assert res.value == pytest.approx(bound.value, abs=1e-9)
         assert res.converged
-        assert 0.0 <= res.gap_to_analytic < 1e-9
+        # the closed form and its encoding are returned as they are, unsolved
+        assert res.value == bound.value
+        assert res.iterations == 0 and res.kkt_residual == 0.0
+        assert all(t == 0.0 for t in res.params.t)
+        assert list(res.params.r) == [mode.s for mode in env_global_modes(cfg)]
 
     def test_memoryless_point(self):
         cfg = ChannelConfig(n=10, eta=0.9, s=0.0, temp=0.0, nbar=8.0)
@@ -63,6 +71,68 @@ class TestClassical:
         for s in (0.0, 1.0, 2.5):
             res = maximize_classical(ChannelConfig(n=7, eta=0.8, s=s, temp=0.4, nbar=8.0))
             assert res.params.mean_photons() == pytest.approx(8.0, abs=1e-6)
+
+    def test_closed_form_bounds_numeric_optimum(self):
+        # Outside its validity region the closed form is still an upper bound
+        # (minimum output entropy g((1-eta) T), maximum g(eta N + (1-eta) M)),
+        # which is what makes returning it inside the region exact.
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 16:
+            temp = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 5.0))
+            cfg = ChannelConfig(n=int(rng.choice([2, 3, 5, 10])), eta=float(rng.uniform(0.05, 0.95)),
+                                s=float(rng.uniform(-3.0, 3.0)), temp=temp, nbar=8.0)
+            bound = classical_lower_analytic(cfg)
+            if bound.valid:
+                continue
+            assert maximize_classical(cfg).value <= bound.value + 1e-9, cfg
+            checked += 1
+
+
+@functools.lru_cache(maxsize=None)
+def numeric_classical(eta, s, temp, passive=False):
+    # the water-filled path, which maximize_classical skips where the closed form holds
+    cfg = cfg10(eta, s, temp)
+    modes = passive_env_modes(passive_spec_from_config(cfg)) if passive else env_global_modes(cfg)
+    return _optimize_grouped(modes, cfg.eta, cfg.nbar, _chi_inner, _chi_marginal)[0] / cfg.n
+
+
+class TestNumericClassicalPath:
+    """The optimizer tracks the closed form at acceptance criteria 1 and 3's points.
+
+    ``maximize_classical`` returns the closed form there, so those criteria
+    no longer run the numeric path.
+    """
+
+    def test_tracks_closed_form(self):
+        points = [(eta, s, 0.0) for eta in FIG2A_ETAS for s in valid_s_points(eta)]
+        points += [(0.9, 0.0, float(temp)) for temp in range(6)]
+        errs = []
+        for point in points:
+            gap = numeric_classical(*point) - classical_lower_analytic(cfg10(*point)).value
+            if not -1e-6 <= gap <= 1e-11:
+                errs.append(f"eta, s, T = {point}: numeric minus closed form {gap:.3e}")
+        assert not errs, "\n".join(errs)
+
+    def test_passive_modes_give_same_total(self):
+        for s in valid_s_points(0.9)[::4]:
+            passive = numeric_classical(0.9, s, 0.0, passive=True)
+            assert passive == pytest.approx(numeric_classical(0.9, s, 0.0), abs=1e-9), s
+
+
+class TestIntegerInputs:
+    # probes where an integer budget reaches the allocator's in-place rescale
+    @pytest.mark.parametrize("fn, n, eta", [
+        (maximize_quantum, 2, 0.55),
+        (maximize_quantum, 10, 0.55),
+        (maximize_quantum, 10, 0.7),
+        (maximize_quantum_local, 2, 0.55),
+        (maximize_quantum_local, 10, 0.55),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_integer_parameters_match_floats(self, fn, n, eta):
+        got = fn(ChannelConfig(n=n, eta=eta, s=0, temp=1, nbar=8))
+        want = fn(ChannelConfig(n=n, eta=eta, s=0.0, temp=1.0, nbar=8.0))
+        assert got == want  # every field, encoding included, bit for bit
 
 
 class TestQuantum:
@@ -191,7 +261,7 @@ class TestResultTypes:
     def test_builtin_scalars_and_json(self, fn):
         res = solved_outside_closed_form(fn, 2.0)
         # numpy.float64 subclasses float, so the exact type is checked
-        assert type(res.value) is float and type(res.gap_to_analytic) is float
+        assert type(res.value) is float
         assert type(res.kkt_residual) is float
         assert type(res.converged) is bool and type(res.iterations) is int
         for name, values in dataclasses.asdict(res.params).items():
