@@ -23,7 +23,6 @@ __all__ = [
     "m_parameter",
     "classical_upper_bound",
     "classical_lower_analytic",
-    "classical_upper_from_modes",
     "classical_lower_from_modes",
     "classical_lower_asymptotic",
     "local_classical_lower",
@@ -56,76 +55,54 @@ class AnalyticBound:
     per_mode: tuple[PerModeOptimum, ...]
 
 
-def _common_temp(modes: list[GlobalEnvMode]) -> float:
-    temp = modes[0].temp
-    if any(abs(m.temp - temp) > 1e-12 * (1.0 + abs(temp)) for m in modes):
-        raise ValueError("analytic bounds require a common environment temperature")
-    return temp
-
-
 def m_parameter(cfg: ChannelConfig) -> float:
     """Mean photon number of the environment marginals in the decoupling basis.
 
     M = (temp + 1/2) * mean_j cosh(s_j) - 1/2.  Equals temp at s = 0 and is
     even and nondecreasing in s.
     """
-    modes = env_global_modes(cfg)
-    return _m_from_modes(modes)
+    return _m_from_modes(env_global_modes(cfg))
 
 
 def _m_from_modes(modes: list[GlobalEnvMode]) -> float:
-    temp = _common_temp(modes)
+    temp = modes[0].temp
+    if any(abs(m.temp - temp) > 1e-12 * (1.0 + abs(temp)) for m in modes):
+        raise ValueError("analytic bounds require a common environment temperature")
     mean_cosh = math.fsum(math.cosh(m.s) for m in modes) / len(modes)
     return (temp + 0.5) * mean_cosh - 0.5
 
 
-def classical_upper_from_modes(modes: list[GlobalEnvMode], eta: float, nbar: float) -> AnalyticBound:
-    """Output-entropy upper bound on the classical capacity, given env modes."""
-    temp = _common_temp(modes)
+def _edge_bound(count: int, eta: float, nbar: float, clear: PerModeOptimum) -> AnalyticBound | None:
+    """The bound at eta = 0 (no rate) and eta = 1 (g(nbar), ``clear`` per mode); None between."""
     if eta <= 0.0:
-        return AnalyticBound(0.0, True, tuple(PerModeOptimum(nbar, 0.0, 0.0, 0.0, 0.0) for _ in modes))
+        return AnalyticBound(0.0, True, (PerModeOptimum(nbar, 0.0, 0.0, 0.0, 0.0),) * count)
     if eta >= 1.0:
-        return AnalyticBound(
-            g_entropy(nbar), True, tuple(PerModeOptimum(nbar, nbar, 0.0, 0.0, 0.0) for _ in modes)
-        )
+        return AnalyticBound(g_entropy(nbar), True, (clear,) * count)
+    return None
+
+
+def _water_level(modes: list[GlobalEnvMode], eta: float, nbar: float):
+    """The water level (M, k, n_j) of both classical bounds.
+
+    n_j = nbar + k (mean_j cosh s_j - cosh s_j) with k = (1-eta)/eta (temp + 1/2).
+    """
     big_m = _m_from_modes(modes)
-    value = g_entropy(eta * nbar + (1.0 - eta) * big_m)
+    temp = modes[0].temp
     k = (1.0 - eta) / eta * (temp + 0.5)
     mean_cosh = (big_m + 0.5) / (temp + 0.5)
-    per_mode = []
-    valid = True
-    for mode in modes:
-        n_opt = nbar + k * (mean_cosh - math.cosh(mode.s))
-        xi = k * math.sinh(mode.s)
-        disc = (n_opt + 0.5) ** 2 - xi**2
-        if n_opt < 0.0 or disc < 0.25:
-            valid = False
-            t_opt = math.nan
-            r_opt = math.nan
-        else:
-            t_opt = math.sqrt(disc) - 0.5
-            r_opt = math.log((n_opt + 0.5 - xi) / (t_opt + 0.5))
-        per_mode.append(PerModeOptimum(n_opt, t_opt, r_opt, 0.0, 0.0))
-    return AnalyticBound(value, valid, tuple(per_mode))
+    return big_m, k, [nbar + k * (mean_cosh - math.cosh(mode.s)) for mode in modes]
 
 
 def classical_lower_from_modes(modes: list[GlobalEnvMode], eta: float, nbar: float) -> AnalyticBound:
     """Achievable Holevo rate of the matched squeezed encoding, given env modes."""
-    temp = _common_temp(modes)
-    if eta <= 0.0:
-        return AnalyticBound(0.0, True, tuple(PerModeOptimum(nbar, 0.0, 0.0, 0.0, 0.0) for _ in modes))
-    if eta >= 1.0:
-        return AnalyticBound(
-            g_entropy(nbar), True, tuple(PerModeOptimum(nbar, 0.0, 0.0, nbar, nbar) for _ in modes)
-        )
-    big_m = _m_from_modes(modes)
-    value = g_entropy(eta * nbar + (1.0 - eta) * big_m) - g_entropy((1.0 - eta) * temp)
-    k = (1.0 - eta) / eta * (temp + 0.5)
-    mean_cosh = (big_m + 0.5) / (temp + 0.5)
+    edge = _edge_bound(len(modes), eta, nbar, PerModeOptimum(nbar, 0.0, 0.0, nbar, nbar))
+    if edge is not None:
+        return edge
+    big_m, k, n_opts = _water_level(modes, eta, nbar)
+    value = g_entropy(eta * nbar + (1.0 - eta) * big_m) - g_entropy((1.0 - eta) * modes[0].temp)
     per_mode = []
     valid = True
-    for mode in modes:
-        n_opt = nbar + k * (mean_cosh - math.cosh(mode.s))
+    for mode, n_opt in zip(modes, n_opts):
         sinh_term = k * math.sinh(mode.s)
         c_q = n_opt + 0.5 - 0.5 * math.exp(mode.s) - sinh_term
         c_p = n_opt + 0.5 - 0.5 * math.exp(-mode.s) + sinh_term
@@ -137,7 +114,25 @@ def classical_lower_from_modes(modes: list[GlobalEnvMode], eta: float, nbar: flo
 
 def classical_upper_bound(cfg: ChannelConfig) -> AnalyticBound:
     """Upper bound g(eta*nbar + (1-eta)*M) with its validity flag."""
-    return classical_upper_from_modes(env_global_modes(cfg), cfg.eta, cfg.nbar)
+    modes = env_global_modes(cfg)
+    edge = _edge_bound(cfg.n, cfg.eta, cfg.nbar, PerModeOptimum(cfg.nbar, cfg.nbar, 0.0, 0.0, 0.0))
+    if edge is not None:
+        return edge
+    big_m, k, n_opts = _water_level(modes, cfg.eta, cfg.nbar)
+    value = g_entropy(cfg.eta * cfg.nbar + (1.0 - cfg.eta) * big_m)
+    per_mode = []
+    valid = True
+    for mode, n_opt in zip(modes, n_opts):
+        xi = k * math.sinh(mode.s)
+        disc = (n_opt + 0.5) ** 2 - xi**2
+        if n_opt < 0.0 or disc < 0.25:
+            valid = False
+            t_opt = r_opt = math.nan
+        else:
+            t_opt = math.sqrt(disc) - 0.5
+            r_opt = math.log((n_opt + 0.5 - xi) / (t_opt + 0.5))
+        per_mode.append(PerModeOptimum(n_opt, t_opt, r_opt, 0.0, 0.0))
+    return AnalyticBound(value, valid, tuple(per_mode))
 
 
 def classical_lower_analytic(cfg: ChannelConfig) -> AnalyticBound:
@@ -145,9 +140,42 @@ def classical_lower_analytic(cfg: ChannelConfig) -> AnalyticBound:
 
     Valid when all optimal modulation variances are nonnegative; its validity
     region is contained in the upper bound's, and at temp = 0 the two bounds
-    coincide.
+    coincide.  Outside that region the value is still an upper bound on the
+    classical capacity, but no longer an achievable rate.
     """
     return classical_lower_from_modes(env_global_modes(cfg), cfg.eta, cfg.nbar)
+
+
+def _thermal_chi(eta: float, temp: float):
+    """x -> g(eta x + (1-eta) temp) - g((1-eta) temp), a thermal attenuator's Holevo rate."""
+    base = g_entropy((1.0 - eta) * temp)
+    return lambda x: g_entropy(eta * x + (1.0 - eta) * temp) - base
+
+
+def _odd_n_limit(n: int, nbar: float, squeezed, *middle) -> float:
+    """Infinite-squeezing limit per use of a rate that is additive over modes.
+
+    Squeezed modes give squeezed(x) at x photons.  For odd n the unsqueezed
+    middle mode gives the sum of the ``middle`` terms at y photons, and y is
+    split optimally from the budget n * nbar; both callers' totals are
+    concave in y.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n % 2 == 0:
+        return squeezed(nbar)
+    budget = n * nbar
+
+    def total(y):
+        value = (n - 1) * squeezed((budget - y) / (n - 1)) if n > 1 else 0.0
+        for term in middle:
+            value += term(y)
+        return value
+
+    if n == 1:
+        return total(nbar)
+    _, best = _golden_max(total, 0.0, budget, 1e-10 * (1.0 + budget))
+    return best / n
 
 
 def classical_lower_asymptotic(n: int, nbar: float, eta: float, temp: float) -> float:
@@ -155,27 +183,9 @@ def classical_lower_asymptotic(n: int, nbar: float, eta: float, temp: float) -> 
 
     log2(2*nbar + 1) for even n.  For odd n the n - 1 squeezed modes each
     give log2(2x + 1) at x photons and the unsqueezed middle mode gives its
-    memoryless rate g(eta y + (1-eta) temp) - g((1-eta) temp) at y photons;
-    the budget is split optimally over y in [0, n nbar], where the total is
-    concave in y.
+    memoryless rate g(eta y + (1-eta) temp) - g((1-eta) temp) at y photons.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n % 2 == 0:
-        return math.log2(2.0 * nbar + 1.0)
-
-    def middle(y):
-        return g_entropy(eta * y + (1.0 - eta) * temp) - g_entropy((1.0 - eta) * temp)
-
-    if n == 1:
-        return middle(nbar)
-    budget = n * nbar
-
-    def total(y):
-        return (n - 1) * math.log2(2.0 * (budget - y) / (n - 1) + 1.0) + middle(y)
-
-    _, best = _golden_max(total, 0.0, budget, 1e-10 * (1.0 + budget))
-    return best / n
+    return _odd_n_limit(n, nbar, lambda x: math.log2(2.0 * x + 1.0), _thermal_chi(eta, temp))
 
 
 def local_classical_lower(cfg: ChannelConfig) -> float:
@@ -186,14 +196,7 @@ def local_classical_lower(cfg: ChannelConfig) -> float:
     """
     if cfg.eta <= 0.0:
         return 0.0
-    one_minus = 1.0 - cfg.eta
-    teffs = [local_effective_temperature(cfg, k) for k in range(1, cfg.n + 1)]
-
-    def make_fn(teff: float):
-        base = g_entropy(one_minus * teff)
-        return lambda x: g_entropy(cfg.eta * x + one_minus * teff) - base
-
-    fns = [make_fn(teff) for teff in teffs]
+    fns = [_thermal_chi(cfg.eta, local_effective_temperature(cfg, k)) for k in range(1, cfg.n + 1)]
     alloc = allocate_photons(fns, cfg.nbar)
     return math.fsum(fn(x) for fn, x in zip(fns, alloc)) / cfg.n
 
@@ -235,20 +238,6 @@ def asymptotic_ent_assisted(n: int, nbar: float, eta: float, temp: float) -> flo
 
     g(nbar) for even n.  For odd n the n - 1 squeezed modes each give
     g(x) at x photons and the unsqueezed middle mode gives g(y) + delta(y)
-    at y photons; the budget is split optimally, maximizing
-    [(n-1) g((n nbar - y)/(n-1)) + g(y) + delta(y)] / n over y in
-    [0, n nbar].  That objective is concave in y.
+    at y photons.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n % 2 == 0:
-        return g_entropy(nbar)
-    if n == 1:
-        return g_entropy(nbar) + delta_term(nbar, eta, temp)
-    budget = n * nbar
-
-    def total(y):
-        return (n - 1) * g_entropy((budget - y) / (n - 1)) + g_entropy(y) + delta_term(y, eta, temp)
-
-    _, best = _golden_max(total, 0.0, budget, 1e-10 * (1.0 + budget))
-    return best / n
+    return _odd_n_limit(n, nbar, g_entropy, g_entropy, lambda y: delta_term(y, eta, temp))

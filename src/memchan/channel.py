@@ -24,6 +24,8 @@ import numpy as np
 
 __all__ = [
     "MAX_MODES",
+    "MAX_ABS_S",
+    "MAX_TEMP",
     "ChannelConfig",
     "OmegaSpectrum",
     "GlobalEnvMode",
@@ -33,6 +35,12 @@ __all__ = [
 ]
 
 MAX_MODES = 64
+# Input domain, checked by ChannelConfig and ScanSpec; every rate is finite
+# inside it.  The optimizers reach the infinite-squeezing limits well inside
+# |s| <= 60, while the per-mode kernels overflow from s = 95 at n = 10 (92 at
+# n = 64), and at T = 1e80 even at s = 0.
+MAX_ABS_S = 60.0
+MAX_TEMP = 1e6
 
 
 @dataclass(frozen=True)
@@ -41,8 +49,8 @@ class ChannelConfig:
 
     n     : number of uses (environment modes), 1 <= n <= MAX_MODES
     eta   : beamsplitter transmissivity, 0 <= eta <= 1
-    s     : collective squeezing strength (any sign, finite)
-    temp  : mean thermal photon number T of each environment mode, finite, >= 0
+    s     : collective squeezing strength, |s| <= MAX_ABS_S (any sign)
+    temp  : mean thermal photon number T of each environment mode, 0 <= T <= MAX_TEMP
     nbar  : mean photon number constraint N per channel use, finite, >= 0
     """
 
@@ -66,11 +74,11 @@ class ChannelConfig:
             raise ValueError(f"n must be in 1..{MAX_MODES}, got {self.n}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if not math.isfinite(self.s):
-            raise ValueError(f"s must be finite, got {self.s}")
-        # NaN passes every ordered comparison, so finiteness is checked first
-        if not (math.isfinite(self.temp) and self.temp >= 0.0):
-            raise ValueError(f"temp must be finite and >= 0, got {self.temp}")
+        # NaN fails every ordered comparison, so these also reject it
+        if not abs(self.s) <= MAX_ABS_S:
+            raise ValueError(f"s must lie in [-{MAX_ABS_S:g}, {MAX_ABS_S:g}], got {self.s}")
+        if not 0.0 <= self.temp <= MAX_TEMP:
+            raise ValueError(f"temp must lie in [0, {MAX_TEMP:g}], got {self.temp}")
         if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
             raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
 
@@ -123,9 +131,13 @@ class GlobalEnvMode:
     s: float
     temp: float
 
-    def covariance(self) -> np.ndarray:
+    def variances(self) -> tuple[float, float]:
+        """The q and p variances (temp + 1/2) e^{+s} and (temp + 1/2) e^{-s}."""
         v = self.temp + 0.5
-        return np.diag([v * math.exp(self.s), v * math.exp(-self.s)])
+        return v * math.exp(self.s), v * math.exp(-self.s)
+
+    def covariance(self) -> np.ndarray:
+        return np.diag(self.variances())
 
 
 def env_global_modes(cfg: ChannelConfig) -> list[GlobalEnvMode]:

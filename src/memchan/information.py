@@ -86,8 +86,7 @@ class EncodingParams:
 
 
 def _outputs(t, r, c_q, c_p, mode: GlobalEnvMode, eta):
-    env_q = (mode.temp + 0.5) * math.exp(mode.s)
-    env_p = (mode.temp + 0.5) * math.exp(-mode.s)
+    env_q, env_p = mode.variances()
     oq = eta * (t + 0.5) * math.exp(r) + (1.0 - eta) * env_q
     op = eta * (t + 0.5) * math.exp(-r) + (1.0 - eta) * env_p
     return oq, op, oq + eta * c_q, op + eta * c_p
@@ -130,8 +129,7 @@ def chi_mode_gradient(
 def _coherent_pieces(t, r, mode: GlobalEnvMode, eta):
     a = (t + 0.5) * math.exp(r)
     b = (t + 0.5) * math.exp(-r)
-    env_q = (mode.temp + 0.5) * math.exp(mode.s)
-    env_p = (mode.temp + 0.5) * math.exp(-mode.s)
+    env_q, env_p = mode.variances()
     alpha = eta * a + (1.0 - eta) * env_q
     beta = eta * b + (1.0 - eta) * env_p
     det_out = alpha * beta

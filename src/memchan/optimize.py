@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import _golden_max, allocate_photons
 from .analytic import classical_lower_from_modes
 from .channel import ChannelConfig, GlobalEnvMode, env_global_modes, local_effective_temperature
-from .gaussian import g_entropy, g_prime
+from .gaussian import g_prime
 from .information import (
     EncodingParams,
     _outputs,
@@ -250,26 +250,20 @@ def _i_inner(mode: GlobalEnvMode, eta: float, nj: float, warm=None):
 # mode grouping and the outer allocation loop
 
 
-@dataclass
-class _Group:
-    mode: GlobalEnvMode  # the |s| representative, index 0
-    indices: list[int] = field(default_factory=list)
-
-
-def _cluster_modes(modes: list[GlobalEnvMode]) -> list[_Group]:
-    """Group modes sharing (|s|, temp); +s/-s pairs have equal value."""
+def _cluster_modes(modes: list[GlobalEnvMode]) -> list[tuple[GlobalEnvMode, list[int]]]:
+    """(|s| representative, mode indices) of each group of modes sharing (|s|, temp)."""
     order = sorted(range(len(modes)), key=lambda j: (abs(modes[j].s), modes[j].temp))
-    groups: list[_Group] = []
+    groups: list[tuple[GlobalEnvMode, list[int]]] = []
     for j in order:
         s_abs = abs(modes[j].s)
         temp = modes[j].temp
         if groups and (
-            abs(groups[-1].mode.s - s_abs) <= 1e-12 * (1.0 + s_abs)
-            and abs(groups[-1].mode.temp - temp) <= 1e-12 * (1.0 + temp)
+            abs(groups[-1][0].s - s_abs) <= 1e-12 * (1.0 + s_abs)
+            and abs(groups[-1][0].temp - temp) <= 1e-12 * (1.0 + temp)
         ):
-            groups[-1].indices.append(j)
+            groups[-1][1].append(j)
         else:
-            groups.append(_Group(GlobalEnvMode(0, s_abs, temp), [j]))
+            groups.append((GlobalEnvMode(0, s_abs, temp), [j]))
     return groups
 
 
@@ -329,10 +323,14 @@ class _FastCubic:
 
 
 class _GroupSolver:
-    """Memoized per-group value of spending x photons on one mode."""
+    """Memoized value of spending x photons on one mode of the group ``indices``.
 
-    def __init__(self, group: _Group, eta: float, inner, marginal):
-        self.group = group
+    +s/-s pairs have equal value, so ``mode`` is the group's |s| representative.
+    """
+
+    def __init__(self, mode: GlobalEnvMode, indices: list[int], eta: float, inner, marginal):
+        self.mode = mode
+        self.indices = indices
         self.eta = eta
         self.inner = inner
         self.envelope = marginal
@@ -348,20 +346,21 @@ class _GroupSolver:
         if self.memo:
             nearest = min(self.memo, key=lambda k: abs(k - key))
             warm = self.memo[nearest][1]
-        out = self.inner(self.group.mode, self.eta, key, warm)
+        out = self.inner(self.mode, self.eta, key, warm)
         self.memo[key] = out
         return out
 
     def marginal(self, y: float, budget: float) -> float:
         """dV/dN at y photons: the envelope marginal, else a finite difference."""
-        out = self.solve(y)
-        m = self.envelope(self.group.mode, self.eta, max(y, 0.0), out)
-        if m is None:
-            h = max(1e-3 * (1.0 + y), 1e-4)
-            lo = max(y - h, 0.0)
-            hi = min(y + h, budget)
-            m = (self.solve(hi)[0] - self.solve(lo)[0]) / (hi - lo)
-        return m
+        m = self.envelope(self.mode, self.eta, max(y, 0.0), self.solve(y))
+        return self.finite_difference(y, budget) if m is None else m
+
+    def finite_difference(self, y: float, budget: float) -> float:
+        """Central difference of the solved value at y, one-sided at 0 and budget."""
+        h = max(1e-3 * (1.0 + y), 1e-4)
+        lo = max(y - h, 0.0)
+        hi = min(y + h, budget)
+        return (self.solve(hi)[0] - self.solve(lo)[0]) / (hi - lo)
 
 
 def _mirror_params(params: tuple, s: float) -> tuple:
@@ -481,12 +480,11 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
     """
     n = len(modes)
     budget = n * nbar
-    groups = _cluster_modes(modes)
-    solvers = [_GroupSolver(g, eta, inner, marginal) for g in groups]
-    weights = np.array([float(len(g.indices)) for g in groups])
+    solvers = [_GroupSolver(mode, indices, eta, inner, marginal) for mode, indices in _cluster_modes(modes)]
+    weights = np.array([float(len(solver.indices)) for solver in solvers])
     group_idx = [0] * n
-    for gi, g in enumerate(groups):
-        for j in g.indices:
+    for gi, solver in enumerate(solvers):
+        for j in solver.indices:
             group_idx[j] = gi
 
     # solve() rounds photon numbers to 1e-10, so a smaller budget only idles
@@ -523,7 +521,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
     # polish the best allocation so far with exact envelope marginals
     seed_alloc = max(candidates, key=exact_total)
     start = np.array([
-        math.fsum(seed_alloc[j] for j in g.indices) / len(g.indices) for g in groups
+        math.fsum(seed_alloc[j] for j in solver.indices) / len(solver.indices) for solver in solvers
     ])
     refined = _exact_refine(solvers, weights, budget, start)
     candidates.append(np.array([refined[group_idx[j]] for j in range(n)]))
@@ -541,13 +539,12 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
     kkt = 0.0
     active = []
     idle = []
-    for g, solver in zip(groups, solvers):
-        y = float(best_alloc[g.indices[0]])
+    for solver in solvers:
+        y = float(best_alloc[solver.indices[0]])
         if y > 1e-6:
             active.append(solver.marginal(y, budget))
         else:
-            h = max(1e-3 * (1.0 + y), 1e-4)
-            idle.append((solver.solve(y + h)[0] - solver.solve(max(y - h, 0.0))[0]) / (2 * h - max(h - y, 0.0)))
+            idle.append(solver.finite_difference(y, budget))
     if len(active) > 1:
         kkt = max(active) - min(active)
     if active and idle:
@@ -555,19 +552,6 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
 
     iterations = sum(len(solver.memo) for solver in solvers)
     return best_total, params, iterations, not fallback and kkt <= 1e-4, kkt
-
-
-def _params_from_list(param_list) -> EncodingParams:
-    return EncodingParams.from_free(
-        [p[0] for p in param_list],
-        [p[1] for p in param_list],
-        [p[2] for p in param_list],
-        [p[3] for p in param_list],
-    )
-
-
-def _idle_params(n: int) -> EncodingParams:
-    return EncodingParams.from_free([0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n)
 
 
 def _resolve_modes(cfg: ChannelConfig, modes):
@@ -586,30 +570,23 @@ def _resolve_modes(cfg: ChannelConfig, modes):
 def maximize_classical(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = None) -> OptResult:
     """Maximal Holevo rate over Gaussian encodings, bits per channel use.
 
-    Where ``classical_lower_from_modes`` is valid, its closed form is the
-    capacity and is returned with its encoding and 0 iterations; elsewhere
-    the water-filled numeric optimum is.  ``modes`` overrides the
+    Where ``classical_lower_from_modes`` is valid (always at eta = 0 and
+    eta = 1), its closed form is the capacity and is returned with its
+    encoding and 0 iterations; elsewhere the water-filled numeric optimum is.  ``modes`` overrides the
     environment modes (e.g. from a passive-form spec); they must match
     cfg.n, cfg.eta, cfg.nbar still apply.
     """
     modes = _resolve_modes(cfg, modes)
-    n, eta, nbar = cfg.n, cfg.eta, cfg.nbar
-    if eta <= 0.0:
-        return OptResult(0.0, _idle_params(n), True, 0, 0.0)
-    if eta >= 1.0:
-        params = EncodingParams.from_free([0.0] * n, [0.0] * n, [nbar] * n, [nbar] * n)
-        return OptResult(g_entropy(nbar), params, True, 0, 0.0)
-
     try:
-        bound = classical_lower_from_modes(modes, eta, nbar)
-    except ValueError:
+        bound = classical_lower_from_modes(modes, cfg.eta, cfg.nbar)
+    except ValueError:  # mixed environment temperatures have no closed form
         bound = None
     if bound is not None and bound.valid:
         param_list = [(pm.t, pm.r, max(pm.c_q, 0.0), max(pm.c_p, 0.0)) for pm in bound.per_mode]
-        return OptResult(bound.value, _params_from_list(param_list), True, 0, 0.0)
+        return OptResult(bound.value, EncodingParams.from_free(*zip(*param_list)), True, 0, 0.0)
 
-    total, param_list, iters, ok, kkt = _optimize_grouped(modes, eta, nbar, _chi_inner, _chi_marginal)
-    return OptResult(total / n, _params_from_list(param_list), ok, iters, kkt)
+    total, param_list, iters, ok, kkt = _optimize_grouped(modes, cfg.eta, cfg.nbar, _chi_inner, _chi_marginal)
+    return OptResult(total / cfg.n, EncodingParams.from_free(*zip(*param_list)), ok, iters, kkt)
 
 
 def maximize_quantum(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = None) -> OptResult:
@@ -619,7 +596,7 @@ def maximize_quantum(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = Non
     """
     modes = _resolve_modes(cfg, modes)
     if cfg.eta < 0.5:
-        return OptResult(0.0, _idle_params(cfg.n), True, 0, 0.0)
+        return OptResult(0.0, EncodingParams.from_free(*zip(*[(0.0, 0.0, 0.0, 0.0)] * cfg.n)), True, 0, 0.0)
     return _maximize_seed_only(cfg, modes, _j_inner, _j_marginal)
 
 
@@ -631,7 +608,7 @@ def maximize_ent_assisted(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None 
 def _maximize_seed_only(cfg: ChannelConfig, modes, inner, marginal) -> OptResult:
     # encodings without modulation and without a closed form to compare with
     total, param_list, iters, ok, kkt = _optimize_grouped(modes, cfg.eta, cfg.nbar, inner, marginal)
-    return OptResult(max(total, 0.0) / cfg.n, _params_from_list(param_list), ok, iters, kkt)
+    return OptResult(max(total, 0.0) / cfg.n, EncodingParams.from_free(*zip(*param_list)), ok, iters, kkt)
 
 
 def _local_modes(cfg: ChannelConfig) -> list[GlobalEnvMode]:

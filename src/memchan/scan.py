@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import classical_lower_analytic, classical_upper_bound, local_classical_lower
-from .channel import ChannelConfig, omega_spectrum
+from .channel import MAX_ABS_S, MAX_TEMP, ChannelConfig, omega_spectrum
 from .entanglement import SeedState, env_min_ppt_symplectic, env_separability_scan, mean_reduced_entropy
 from .optimize import (
     maximize_classical,
@@ -73,12 +73,13 @@ class ScanSpec:
         object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))
         if not self.etas or not self.temps or not self.s_values:
             raise ValueError("scan grids must be nonempty")
-        if not np.isfinite(self.etas + self.temps + self.s_values).all():
-            raise ValueError("scan grids must be finite")
+        # NaN fails every ordered comparison, so these also reject it
         if any(not 0.0 <= e <= 1.0 for e in self.etas):
             raise ValueError("eta grid must lie in [0, 1]")
-        if any(t < 0.0 for t in self.temps):
-            raise ValueError("temperature grid must be nonnegative")
+        if any(not 0.0 <= t <= MAX_TEMP for t in self.temps):
+            raise ValueError(f"temperature grid must lie in [0, {MAX_TEMP:g}]")
+        if any(not abs(s) <= MAX_ABS_S for s in self.s_values):
+            raise ValueError(f"s grid must lie in [-{MAX_ABS_S:g}, {MAX_ABS_S:g}]")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         # n and nbar range checks are delegated to ChannelConfig

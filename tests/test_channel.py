@@ -7,6 +7,8 @@ import pytest
 
 from memchan.analytic import m_parameter
 from memchan.channel import (
+    MAX_ABS_S,
+    MAX_TEMP,
     ChannelConfig,
     GlobalEnvMode,
     env_global_modes,
@@ -43,6 +45,12 @@ class TestConfig:
                     {"nbar": math.nan}, {"nbar": math.inf}):
             with pytest.raises(ValueError):
                 ChannelConfig(**{"n": 2, "eta": 0.5, "s": 1.0, **bad})
+        # the per-mode kernels overflow past the domain (from s = 95 at n = 10, at T = 1e80)
+        for s in (MAX_ABS_S, -MAX_ABS_S):
+            assert ChannelConfig(n=2, eta=0.5, s=s, temp=MAX_TEMP).s == s
+        for bad in ({"s": 60.000001}, {"s": -95.0}, {"temp": 1.000001e6}, {"temp": 1e80}):
+            with pytest.raises(ValueError):
+                ChannelConfig(**{"n": 10, "eta": 0.9, "s": 0.0, "temp": 1.0, "nbar": 8.0, **bad})
         for bad in ({"n": 2.0}, {"n": True}, {"n": "2"}, {"eta": "0.5"}, {"s": None},
                     {"temp": 1j}, {"nbar": "8"}):
             with pytest.raises(ValueError):

@@ -12,8 +12,14 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from memchan.analytic import classical_lower_analytic, delta_term
-from memchan.channel import ChannelConfig, env_global_modes
+from memchan.analytic import (
+    classical_lower_analytic,
+    classical_lower_from_modes,
+    classical_upper_bound,
+    delta_term,
+    local_classical_lower,
+)
+from memchan.channel import MAX_ABS_S, MAX_TEMP, ChannelConfig, GlobalEnvMode, env_global_modes
 from memchan.gaussian import g_entropy
 from memchan.optimize import (
     _chi_inner,
@@ -30,6 +36,13 @@ from reference_models import brute_force_oracle, passive_env_modes, passive_spec
 from test_acceptance import FIG2A_ETAS, cfg10, valid_s_points
 
 G_OF_7P2 = 4.386538332596274923
+
+
+def hex_dump(res):
+    """(value, converged, iterations, kkt_residual) and the encoding, floats as float.hex."""
+    fields = dataclasses.astuple(res.params)
+    return ([res.value.hex(), res.converged, res.iterations, res.kkt_residual.hex()],
+            [[v.hex() for v in field] for field in fields])
 
 
 class TestClassical:
@@ -61,6 +74,20 @@ class TestClassical:
         assert dark.value == 0.0
         clear = maximize_classical(ChannelConfig(n=4, eta=1.0, s=1.0, temp=0.5, nbar=8.0))
         assert clear.value == pytest.approx(g_entropy(8.0), abs=1e-12)
+        # the closed form's edges, bit for bit: nothing gets through at eta = 0;
+        # at eta = 1 each mode is modulated with 8 photons and no seed
+        zero, eight = "0x0.0p+0", "0x1.0000000000000p+3"
+        assert hex_dump(dark) == ([zero, True, 0, zero], [[zero] * 4] * 5)
+        assert hex_dump(clear) == (["0x1.21e07604ed456p+2", True, 0, zero],
+                                   [[zero] * 4] * 2 + [[eight] * 4] * 3)
+        # they return before the common-temperature check, so mixed modes get them too
+        mixed = [GlobalEnvMode(j + 1, 0.3 * (j - 1), 0.2 + 0.4 * j) for j in range(3)]
+        for eta, want in ((0.0, 0.0), (1.0, g_entropy(4.0))):
+            cfg = ChannelConfig(n=3, eta=eta, s=0.0, temp=0.5, nbar=4.0)
+            bound = classical_lower_from_modes(mixed, eta, 4.0)
+            assert bound.valid and bound.value == want
+            res = maximize_classical(cfg, modes=mixed)
+            assert res.value == want and res.iterations == 0
 
     def test_uniform_allocation_without_memory(self):
         cfg = ChannelConfig(n=6, eta=0.9, s=0.0, temp=0.3, nbar=8.0)
@@ -135,6 +162,21 @@ class TestIntegerInputs:
         assert got == want  # every field, encoding included, bit for bit
 
 
+class TestInputDomain:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_corners_are_finite(self, n):
+        # the corners of the input domain, with budgets from 1e-6 to 1e6 photons
+        quantities = (*OPTIMIZERS, local_classical_lower, classical_upper_bound, classical_lower_analytic)
+        for s in (MAX_ABS_S, -MAX_ABS_S):
+            for temp in (0.0, MAX_TEMP):
+                for nbar in (1e-6, 8.0, 1e6):
+                    cfg = ChannelConfig(n=n, eta=0.9, s=s, temp=temp, nbar=nbar)
+                    for fn in quantities:
+                        res = fn(cfg)
+                        value = res if isinstance(res, float) else res.value
+                        assert math.isfinite(value) and value >= 0.0, (cfg, fn)
+
+
 class TestQuantum:
     def test_exactly_zero_below_half_transmission(self):
         for eta in (0.1, 0.3, 0.49):
@@ -164,6 +206,20 @@ class TestQuantum:
         for s in (0.5, 1.5):
             cfg = ChannelConfig(n=10, eta=0.9, s=s, temp=0.0, nbar=8.0)
             assert maximize_quantum(cfg).value >= maximize_quantum_local(cfg).value - 1e-9
+
+    def test_under_plob_bound(self):
+        # Q <= max(0, -log2[(1-eta) eta^T] - g(T)) for every N (Pirandola et al.,
+        # Nat. Commun. 8, 15043 (2017)); each normal mode is a thermal attenuator
+        # between two squeezers, which leave the bound unchanged
+        rng = np.random.default_rng(6)
+        for _ in range(16):
+            temp = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 3.0))
+            cfg = ChannelConfig(n=int(rng.choice([2, 3, 5, 10])), eta=float(rng.uniform(0.5, 0.99)),
+                                s=float(rng.uniform(-3.0, 3.0)), temp=temp,
+                                nbar=float(rng.uniform(0.5, 10.0)))
+            plob = max(0.0, -math.log2((1.0 - cfg.eta) * cfg.eta**temp) - g_entropy(temp))
+            for fn in (maximize_quantum, maximize_quantum_local):
+                assert fn(cfg).value <= plob + 1e-9, (cfg, fn.__name__)
 
 
 class TestEntAssisted:

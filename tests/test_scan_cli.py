@@ -67,6 +67,9 @@ class TestScanSpec:
             {"etas": (0.9,), "temps": (0.0, float("inf")), "s_values": (0.0,)},
             {"etas": (0.9,), "temps": (0.0,), "s_values": (0.0, float("inf"))},
             {"etas": (0.9, float("nan")), "temps": (0.0,), "s_values": (0.0,)},
+            # finite but past channel.MAX_TEMP and MAX_ABS_S
+            {"etas": (0.9,), "temps": (0.0, 2e6), "s_values": (0.0,)},
+            {"etas": (0.9,), "temps": (0.0,), "s_values": (0.0, -61.0)},
         ):
             with pytest.raises(ValueError):
                 ScanSpec(quantity="quantum", n=4, nbar=8.0, **grids)
@@ -230,7 +233,7 @@ class TestCli:
 
     def test_invalid_channel_exits_2(self, capsys):
         for bad in (["--eta", "1.5"], ["--temp", "nan"], ["--temp", "0,inf"], ["--nbar", "nan"],
-                    ["--s-min", "nan"]):
+                    ["--s-min", "nan"], ["--temp", "0,2e6"], ["--s-max", "61", "--s-steps", "3"]):
             code = main(["scan", "--quantity", "quantum", "--n", "2", "--s-steps", "1", *bad])
             assert code == 2
             assert "error:" in capsys.readouterr().err
