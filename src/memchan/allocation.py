@@ -5,6 +5,12 @@ per-mode values is maximal.  For concave nondecreasing value functions the
 optimum equalizes marginal values; we find the Lagrange multiplier by
 bisection.  If the sampled marginals are found to be non-monotone the
 allocator falls back to a multistart pairwise-transfer search and flags it.
+
+Entries of ``fns`` that are one object (by identity, not by equality), such
+as the modes of one normal-mode group, are screened and inverted once per
+bisection step, and each distinct function's marginal is memoized by probe
+point for the call.  Sums still run over the entries in order, so the
+result is bit for bit that of evaluating every entry.
 """
 
 from __future__ import annotations
@@ -20,24 +26,35 @@ class AllocationError(RuntimeError):
     """Raised when no feasible allocation can be produced."""
 
 
-def _marginal(fn, x: float, budget: float, h: float) -> float:
-    lo = max(x - h, 0.0)
-    hi = min(x + h, budget)
-    if hi <= lo:
-        return 0.0
-    return (fn(hi) - fn(lo)) / (hi - lo)
+def _memoized_marginal(fn, budget: float, h: float):
+    """x -> finite-difference slope of fn over [x - h, x + h] clipped to [0, budget].
+
+    Each probe point x is evaluated once; the memo lives as long as the
+    returned function.
+    """
+    cache = {}
+
+    def marginal(x: float) -> float:
+        value = cache.get(x)
+        if value is None:
+            lo = max(x - h, 0.0)
+            hi = min(x + h, budget)
+            value = cache[x] = (fn(hi) - fn(lo)) / (hi - lo) if hi > lo else 0.0
+        return value
+
+    return marginal
 
 
-def _x_at_marginal(fn, mu: float, budget: float, h: float, x_tol: float) -> float:
+def _x_at_marginal(marginal, mu: float, budget: float, x_tol: float) -> float:
     """Largest x in [0, budget] with marginal(x) >= mu (marginal decreasing)."""
-    if _marginal(fn, 0.0, budget, h) <= mu:
+    if marginal(0.0) <= mu:
         return 0.0
-    if _marginal(fn, budget, budget, h) >= mu:
+    if marginal(budget) >= mu:
         return budget
     lo, hi = 0.0, budget
     while hi - lo > x_tol:
         mid = 0.5 * (lo + hi)
-        if _marginal(fn, mid, budget, h) >= mu:
+        if marginal(mid) >= mu:
             lo = mid
         else:
             hi = mid
@@ -94,8 +111,11 @@ def allocate_photons(fns, nbar: float, *, return_info: bool = False):
     ----------
     fns : sequence of callables
         ``fns[i](x)`` is the value of spending x photons on mode i.
-        Functions must be defined on [0, n * nbar] and should be
-        nondecreasing.
+        Functions must be defined on [0, n * nbar], should be
+        nondecreasing, and must return the same value for the same x.
+        Entries that are one object, by identity and not by equality, are
+        evaluated once per step; equal but distinct callables are each
+        evaluated.
     nbar : float
         Photon budget per mode.
     return_info : bool
@@ -121,11 +141,13 @@ def allocate_photons(fns, nbar: float, *, return_info: bool = False):
         return (x, info) if return_info else x
 
     h = max(1e-7 * budget, 1e-9)
+    ids = [id(fn) for fn in fns]  # an id, not a hash: unhashable callables work
+    marginals = {i: _memoized_marginal(fn, budget, h) for i, fn in dict(zip(ids, fns)).items()}
 
     # concavity screen on a coarse grid
     concave = True
-    for fn in fns:
-        probes = [_marginal(fn, budget * frac, budget, h) for frac in (0.05, 0.3, 0.55, 0.8, 0.98)]
+    for marginal in marginals.values():
+        probes = [marginal(budget * frac) for frac in (0.05, 0.3, 0.55, 0.8, 0.98)]
         for left, right in zip(probes, probes[1:]):
             if right > left + 1e-6 * (1.0 + abs(left)):
                 concave = False
@@ -133,7 +155,7 @@ def allocate_photons(fns, nbar: float, *, return_info: bool = False):
         if not concave:
             break
 
-    m0 = [_marginal(fn, 0.0, budget, h) for fn in fns]
+    m0 = [marginals[i](0.0) for i in ids]
     mu_hi = max(m0)
 
     if concave and mu_hi > 0.0:
@@ -141,13 +163,15 @@ def allocate_photons(fns, nbar: float, *, return_info: bool = False):
         # bisection keeps total(mu_lo) >= budget >= total(mu_hi)
         while mu_hi - mu_lo > 1e-10 * (1.0 + mu_hi):
             mid = 0.5 * (mu_lo + mu_hi)
-            tot = sum(_x_at_marginal(fn, mid, budget, h, 1e-12 * budget) for fn in fns)
+            xs = {i: _x_at_marginal(m, mid, budget, 1e-12 * budget) for i, m in marginals.items()}
+            tot = sum(xs[i] for i in ids)
             if tot >= budget:
                 mu_lo = mid
             else:
                 mu_hi = mid
         info["mu"] = mu_lo
-        x = np.array([_x_at_marginal(fn, mu_lo, budget, h, 1e-13 * budget) for fn in fns])
+        xs = {i: _x_at_marginal(m, mu_lo, budget, 1e-13 * budget) for i, m in marginals.items()}
+        x = np.array([xs[i] for i in ids])
         tot = float(x.sum())
         if tot > budget and tot > 0.0:
             x *= budget / tot

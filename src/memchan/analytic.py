@@ -196,7 +196,11 @@ def local_classical_lower(cfg: ChannelConfig) -> float:
     """
     if cfg.eta <= 0.0:
         return 0.0
-    fns = [_thermal_chi(cfg.eta, local_effective_temperature(cfg, k)) for k in range(1, cfg.n + 1)]
+    temps = [local_effective_temperature(cfg, k) for k in range(1, cfg.n + 1)]
+    # modes k and n+1-k see equal temperatures, often to the bit; one closure
+    # per distinct float lets allocate_photons evaluate those modes once
+    chis = {temp: _thermal_chi(cfg.eta, temp) for temp in set(temps)}
+    fns = [chis[temp] for temp in temps]
     alloc = allocate_photons(fns, cfg.nbar)
     return math.fsum(fn(x) for fn, x in zip(fns, alloc)) / cfg.n
 

@@ -26,6 +26,7 @@ __all__ = [
     "MAX_MODES",
     "MAX_ABS_S",
     "MAX_TEMP",
+    "MAX_NBAR",
     "ChannelConfig",
     "OmegaSpectrum",
     "GlobalEnvMode",
@@ -38,9 +39,11 @@ MAX_MODES = 64
 # Input domain, checked by ChannelConfig and ScanSpec; every rate is finite
 # inside it.  The optimizers reach the infinite-squeezing limits well inside
 # |s| <= 60, while the per-mode kernels overflow from s = 95 at n = 10 (92 at
-# n = 64), and at T = 1e80 even at s = 0.
+# n = 64), and at T = 1e80 even at s = 0.  At N = 1e300 the photon budget
+# overflows them too; every rate is finite at the N = 1e6 corners.
 MAX_ABS_S = 60.0
 MAX_TEMP = 1e6
+MAX_NBAR = 1e6
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class ChannelConfig:
     eta   : beamsplitter transmissivity, 0 <= eta <= 1
     s     : collective squeezing strength, |s| <= MAX_ABS_S (any sign)
     temp  : mean thermal photon number T of each environment mode, 0 <= T <= MAX_TEMP
-    nbar  : mean photon number constraint N per channel use, finite, >= 0
+    nbar  : mean photon number constraint N per channel use, 0 <= N <= MAX_NBAR
     """
 
     n: int
@@ -79,8 +82,8 @@ class ChannelConfig:
             raise ValueError(f"s must lie in [-{MAX_ABS_S:g}, {MAX_ABS_S:g}], got {self.s}")
         if not 0.0 <= self.temp <= MAX_TEMP:
             raise ValueError(f"temp must lie in [0, {MAX_TEMP:g}], got {self.temp}")
-        if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
-            raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
+        if not 0.0 <= self.nbar <= MAX_NBAR:
+            raise ValueError(f"nbar must lie in [0, {MAX_NBAR:g}], got {self.nbar}")
 
 
 @dataclass(frozen=True)

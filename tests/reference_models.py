@@ -5,8 +5,9 @@ passive forms of the environment; the two-use environment as a dense 4x4
 covariance with its numeric PPT eigenvalue (``TwoModeCov``,
 ``interleaved_to_block``, ``ppt_min_symplectic`` and ``env_two_mode_cov``),
 against which the closed forms of ``memchan.entanglement`` are checked;
-full-spectrum Gaussian entropies, dense per-mode rates, and a brute-force
-grid oracle for n <= 2 on its own kernels.
+full-spectrum Gaussian entropies, dense per-mode rates, a brute-force
+grid oracle for n <= 2 on its own kernels, and the water-filling allocator
+as it was before it shared work between entries (``allocate_photons_per_entry``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from memchan.allocation import _pairwise_polish
 from memchan.channel import ChannelConfig, GlobalEnvMode, env_global_modes, omega_spectrum
 from memchan.entanglement import SeedState
 from memchan.gaussian import UnphysicalStateError, g_entropy, symplectic_eigenvalues
@@ -455,3 +457,92 @@ def brute_force_oracle(cfg: ChannelConfig, quantity: str) -> float:
         center = float(grid[k])
         span = 2.2 * (grid[1] - grid[0])
     return max(best, 0.0) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# water-filling that evaluates every entry of fns on its own
+
+
+def _fd_marginal(fn, x: float, budget: float, h: float) -> float:
+    lo = max(x - h, 0.0)
+    hi = min(x + h, budget)
+    if hi <= lo:
+        return 0.0
+    return (fn(hi) - fn(lo)) / (hi - lo)
+
+
+def _x_at_fd_marginal(fn, mu: float, budget: float, h: float, x_tol: float) -> float:
+    if _fd_marginal(fn, 0.0, budget, h) <= mu:
+        return 0.0
+    if _fd_marginal(fn, budget, budget, h) >= mu:
+        return budget
+    lo, hi = 0.0, budget
+    while hi - lo > x_tol:
+        mid = 0.5 * (lo + hi)
+        if _fd_marginal(fn, mid, budget, h) >= mu:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def allocate_photons_per_entry(fns, nbar: float, *, return_info: bool = False):
+    """``memchan.allocation.allocate_photons`` evaluating each entry separately.
+
+    The same water-filling, screen and fallback for a positive budget, with
+    no sharing between entries and no memo: every entry's marginal is
+    recomputed at every probe.
+    """
+    fns = list(fns)
+    n = len(fns)
+    budget = n * float(nbar)
+    info = {"fallback": False, "mu": 0.0}
+    h = max(1e-7 * budget, 1e-9)
+
+    concave = True
+    for fn in fns:
+        probes = [_fd_marginal(fn, budget * frac, budget, h) for frac in (0.05, 0.3, 0.55, 0.8, 0.98)]
+        for left, right in zip(probes, probes[1:]):
+            if right > left + 1e-6 * (1.0 + abs(left)):
+                concave = False
+                break
+        if not concave:
+            break
+
+    m0 = [_fd_marginal(fn, 0.0, budget, h) for fn in fns]
+    mu_hi = max(m0)
+
+    if concave and mu_hi > 0.0:
+        mu_lo = 0.0
+        while mu_hi - mu_lo > 1e-10 * (1.0 + mu_hi):
+            mid = 0.5 * (mu_lo + mu_hi)
+            tot = sum(_x_at_fd_marginal(fn, mid, budget, h, 1e-12 * budget) for fn in fns)
+            if tot >= budget:
+                mu_lo = mid
+            else:
+                mu_hi = mid
+        info["mu"] = mu_lo
+        x = np.array([_x_at_fd_marginal(fn, mu_lo, budget, h, 1e-13 * budget) for fn in fns])
+        tot = float(x.sum())
+        if tot > budget and tot > 0.0:
+            x *= budget / tot
+        elif tot < budget:
+            x += (budget - tot) / n
+        result = x
+    else:
+        info["fallback"] = True
+        starts = [np.full(n, nbar)]
+        one_hot = np.zeros(n)
+        one_hot[int(np.argmax(m0))] = budget
+        starts.append(one_hot)
+        best_x, best_v = None, -math.inf
+        for start in starts:
+            cand = _pairwise_polish(fns, start)
+            val = sum(fn(xi) for fn, xi in zip(fns, cand))
+            if val > best_v:
+                best_x, best_v = cand, val
+        result = best_x
+
+    if return_info:
+        return result, info
+    return result

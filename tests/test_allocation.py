@@ -7,6 +7,9 @@ import pytest
 
 from memchan.allocation import AllocationError, allocate_photons
 from memchan.gaussian import g_entropy, g_prime
+from memchan.optimize import _FastCubic
+
+from reference_models import allocate_photons_per_entry
 
 
 class TestBasicProperties:
@@ -88,3 +91,66 @@ class TestInfoAndErrors:
         for nbar in (math.nan, math.inf):
             with pytest.raises(AllocationError):
                 allocate_photons([lambda x: x] * 2, nbar)
+
+
+def _cubic(eta, offset):
+    xs = [24.0 * (i / 12.0) ** 1.6 for i in range(13)]
+    return _FastCubic(xs, [g_entropy(eta * x + offset) for x in xs])
+
+
+def _kink(x):
+    return max(0.0, x - 1.0) ** 2
+
+
+class _Unhashable:
+    """Defines __eq__ without __hash__, so instances cannot be dict keys."""
+
+    def __init__(self, offset):
+        self.offset = offset
+
+    def __eq__(self, other):
+        return isinstance(other, _Unhashable) and other.offset == self.offset
+
+    def __call__(self, x):
+        return g_entropy(0.9 * x + self.offset)
+
+
+class TestSharedWork:
+    """Entries that are one object are evaluated once, with the same bits as evaluating each."""
+
+    @pytest.mark.parametrize("case", ["shared", "equal-closures", "mixed", "fallback", "unhashable"])
+    def test_matches_per_entry_oracle(self, case):
+        a, b = _cubic(0.9, 0.0), _cubic(0.8, 0.7)
+        fns = {
+            # one cubic per normal-mode group, as the optimizer passes them
+            "shared": [a] * 5 + [b] * 5,
+            "equal-closures": [lambda x: g_entropy(0.9 * x + 0.3) for _ in range(6)],
+            "mixed": [a, b, a, lambda x: g_entropy(0.7 * x), b, a],
+            "fallback": [_kink, g_entropy, _kink, g_entropy],
+            "unhashable": [_Unhashable(0.2)] * 3 + [_Unhashable(0.2), _Unhashable(0.5)],
+        }[case]
+        for nbar in (0.5, 3.0, 8.0):
+            alloc, info = allocate_photons(fns, nbar, return_info=True)
+            want, want_info = allocate_photons_per_entry(fns, nbar, return_info=True)
+            assert alloc.tolist() == want.tolist(), (case, nbar)
+            assert info["mu"] == want_info["mu"] and info["fallback"] == want_info["fallback"]
+            assert info["fallback"] == (case == "fallback")
+
+    def test_unhashable_callable_allocates(self):
+        fn = _Unhashable(0.2)
+        with pytest.raises(TypeError):
+            hash(fn)
+        alloc = allocate_photons([fn] * 4, 2.0)
+        assert np.allclose(alloc, 2.0, atol=1e-6)
+
+    def test_shared_function_runs_a_tenth_as_often(self):
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return g_entropy(0.9 * x)
+
+        allocate_photons_per_entry([f] * 10, 3.0)
+        per_entry, calls[0] = calls[0], 0
+        allocate_photons([f] * 10, 3.0)
+        assert 10 * calls[0] <= per_entry

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from memchan.analytic import (
+    _thermal_chi,
     asymptotic_ent_assisted,
     asymptotic_quantum,
     classical_lower_analytic,
@@ -15,9 +16,11 @@ from memchan.analytic import (
     local_classical_lower,
     m_parameter,
 )
-from memchan.channel import ChannelConfig
+from memchan.channel import ChannelConfig, local_effective_temperature
 from memchan.gaussian import g_entropy
 from memchan.optimize import maximize_classical, maximize_ent_assisted, maximize_quantum
+
+from reference_models import allocate_photons_per_entry
 
 # 40-digit reference values
 M_N2_S1_T0 = 0.27154031740762188924  # cosh(1)/2 - 1/2
@@ -127,6 +130,16 @@ class TestLocalRate:
         cfg = ChannelConfig(n=6, eta=0.9, s=0.0, temp=1.0, nbar=8.0)
         want = g_entropy(0.9 * 8.0 + 0.1 * 1.0) - g_entropy(0.1)
         assert local_classical_lower(cfg) == pytest.approx(want, abs=1e-9)
+
+    def test_shared_closures_are_bit_for_bit(self):
+        # modes with bit-equal temperatures share one closure; one closure
+        # per mode, evaluated entry by entry, gives the same bits
+        for s in (0.0, 0.7, -2.5):
+            cfg = ChannelConfig(n=10, eta=0.9, s=s, temp=0.5, nbar=8.0)
+            fns = [_thermal_chi(cfg.eta, local_effective_temperature(cfg, k)) for k in range(1, 11)]
+            alloc = allocate_photons_per_entry(fns, cfg.nbar)
+            want = math.fsum(fn(x) for fn, x in zip(fns, alloc)) / cfg.n
+            assert local_classical_lower(cfg) == want
 
     def test_never_exceeds_global_bound_when_valid(self):
         for s in (0.0, 0.5, 1.0):

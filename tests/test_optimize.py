@@ -19,7 +19,8 @@ from memchan.analytic import (
     delta_term,
     local_classical_lower,
 )
-from memchan.channel import MAX_ABS_S, MAX_TEMP, ChannelConfig, GlobalEnvMode, env_global_modes
+from memchan.channel import MAX_ABS_S, MAX_NBAR, MAX_TEMP, ChannelConfig, GlobalEnvMode, env_global_modes
+from memchan.cli import main as cli_main
 from memchan.gaussian import g_entropy
 from memchan.optimize import (
     _chi_inner,
@@ -175,6 +176,17 @@ class TestInputDomain:
                         res = fn(cfg)
                         value = res if isinstance(res, float) else res.value
                         assert math.isfinite(value) and value >= 0.0, (cfg, fn)
+
+    def test_budget_past_the_domain_is_rejected(self, capsys):
+        # at N = 1e300 classical_upper_bound overflowed and the quantum optimizers raised mid-solve
+        assert ChannelConfig(n=2, eta=0.9, s=0.5, temp=1.0, nbar=MAX_NBAR).nbar == MAX_NBAR
+        for nbar in (1.000001e6, 1e300):
+            with pytest.raises(ValueError, match="nbar"):
+                ChannelConfig(n=2, eta=0.9, s=0.5, temp=1.0, nbar=nbar)
+        code = cli_main(["scan", "--quantity", "classical-upper", "--n", "2", "--nbar", "1e300",
+                         "--s-steps", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: nbar must lie in [0, 1e+06]")
 
 
 class TestQuantum:
