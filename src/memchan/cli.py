@@ -15,12 +15,6 @@ from .scan import (
     write_rows,
 )
 
-_LOCAL_VARIANT = {
-    "classical-lower": "classical-local",
-    "quantum": "quantum-local",
-    "ent-assisted": "ent-assisted-local",
-}
-
 
 def _float_list(text: str) -> list[float]:
     try:
@@ -40,7 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("scan", help="evaluate one quantity on an (eta, T, s) grid")
-    ps.add_argument("--quantity", required=True, choices=QUANTITIES)
+    ps.add_argument("--quantity", required=True, choices=QUANTITIES,
+                    help="a -local quantity sees each environment mode's thermal marginal alone")
     ps.add_argument("--n", type=int, default=10, help="channel uses per block (default 10)")
     ps.add_argument("--nbar", type=float, default=8.0, help="mean photons per use (default 8)")
     ps.add_argument(
@@ -54,10 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--s-min", type=float, default=0.0, help="smallest squeezing strength")
     ps.add_argument("--s-max", type=float, default=3.0, help="largest squeezing strength")
     ps.add_argument("--s-steps", type=int, default=31, help="number of s grid points")
-    ps.add_argument(
-        "--scenario", choices=("global", "local"), default="global",
-        help="local replaces the correlated environment with per-mode thermal marginals",
-    )
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.add_argument("--out", default="-", help="output path, - for stdout (default)")
     ps.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
@@ -72,13 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_scan(args) -> int:
-    quantity = args.quantity
-    if args.scenario == "local" and not quantity.endswith("-local"):
-        if quantity not in _LOCAL_VARIANT:
-            raise ValueError(f"no local variant of {quantity!r}")
-        quantity = _LOCAL_VARIANT[quantity]
     spec = ScanSpec.from_ranges(
-        quantity=quantity,
+        quantity=args.quantity,
         n=args.n,
         nbar=args.nbar,
         etas=args.eta,

@@ -63,6 +63,14 @@ class OptResult:
     kkt_residual: float
 
 
+_IDLE = (0.0, 0.0, 0.0, 0.0)  # (t, r, c_q, c_p) of a mode that gets no photons
+
+
+def _result(value: float, param_list, converged=True, iterations=0, kkt=0.0) -> OptResult:
+    """OptResult of a per-use value and per-mode (t, r, c_q, c_p); a closed form keeps the defaults."""
+    return OptResult(value, EncodingParams.from_free(*zip(*param_list)), converged, iterations, kkt)
+
+
 # ---------------------------------------------------------------------------
 # inner per-mode solvers
 
@@ -117,7 +125,7 @@ def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, warm=None):
     energy constraint is saturated by construction.
     """
     if nj <= 1e-13:
-        return 0.0, (0.0, 0.0, 0.0, 0.0)
+        return 0.0, _IDLE
     cap = nj + 0.5
 
     def split(t, r, f):
@@ -171,7 +179,7 @@ def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, warm):
     nonnegative.  Returns (value, (t, r, 0.0, 0.0)).
     """
     if nj <= 1e-13:
-        return 0.0, (0.0, 0.0, 0.0, 0.0)
+        return 0.0, _IDLE
     cap = nj + 0.5
     rmax = math.acosh(2.0 * nj + 1.0) * (1.0 - 1e-12)
 
@@ -230,7 +238,7 @@ def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, warm):
         x, best = on_ridge(r_b), v_b
         x, best = _coordinate_ascent(guarded, x, bounds)
     if best <= 0.0:
-        return 0.0, (0.0, 0.0, 0.0, 0.0)
+        return 0.0, _IDLE
     return best, (x[0], x[1], 0.0, 0.0)
 
 
@@ -475,8 +483,8 @@ def _exact_refine(solvers, weights, budget, start):
 def _optimize_grouped(modes, eta, nbar, inner, marginal):
     """Water-filled maximization of a per-mode additive objective.
 
-    Returns (total_value, per-mode params, iterations, converged,
-    kkt_residual); converged as defined on :class:`OptResult`.
+    Returns its :class:`OptResult`: the total over the modes per channel
+    use, floored at 0.
     """
     n = len(modes)
     budget = n * nbar
@@ -489,8 +497,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
 
     # solve() rounds photon numbers to 1e-10, so a smaller budget only idles
     if round(budget, 10) <= 0.0:
-        params = [(0.0, 0.0, 0.0, 0.0)] * n
-        return 0.0, params, 0, True, 0.0
+        return _result(0.0, [_IDLE] * n)
 
     # seed node grid, densest near zero where the value functions curve most
     nodes = {0.0, budget, min(nbar, budget)}
@@ -551,7 +558,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
         kkt = max(kkt, max(idle) - max(active))
 
     iterations = sum(len(solver.memo) for solver in solvers)
-    return best_total, params, iterations, not fallback and kkt <= 1e-4, kkt
+    return _result(max(best_total, 0.0) / n, params, not fallback and kkt <= 1e-4, iterations, kkt)
 
 
 def _resolve_modes(cfg: ChannelConfig, modes):
@@ -572,9 +579,10 @@ def maximize_classical(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = N
 
     Where ``classical_lower_from_modes`` is valid (always at eta = 0 and
     eta = 1), its closed form is the capacity and is returned with its
-    encoding and 0 iterations; elsewhere the water-filled numeric optimum is.  ``modes`` overrides the
-    environment modes (e.g. from a passive-form spec); they must match
-    cfg.n, cfg.eta, cfg.nbar still apply.
+    encoding and 0 iterations; elsewhere the water-filled numeric optimum
+    is.  ``modes`` overrides the environment modes (e.g. from a
+    passive-form spec); there must be cfg.n of them, and cfg.eta and
+    cfg.nbar still apply.
     """
     modes = _resolve_modes(cfg, modes)
     try:
@@ -582,11 +590,9 @@ def maximize_classical(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = N
     except ValueError:  # mixed environment temperatures have no closed form
         bound = None
     if bound is not None and bound.valid:
-        param_list = [(pm.t, pm.r, max(pm.c_q, 0.0), max(pm.c_p, 0.0)) for pm in bound.per_mode]
-        return OptResult(bound.value, EncodingParams.from_free(*zip(*param_list)), True, 0, 0.0)
-
-    total, param_list, iters, ok, kkt = _optimize_grouped(modes, cfg.eta, cfg.nbar, _chi_inner, _chi_marginal)
-    return OptResult(total / cfg.n, EncodingParams.from_free(*zip(*param_list)), ok, iters, kkt)
+        return _result(bound.value, [(pm.t, pm.r, max(pm.c_q, 0.0), max(pm.c_p, 0.0))
+                                     for pm in bound.per_mode])
+    return _optimize_grouped(modes, cfg.eta, cfg.nbar, _chi_inner, _chi_marginal)
 
 
 def maximize_quantum(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = None) -> OptResult:
@@ -596,19 +602,13 @@ def maximize_quantum(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = Non
     """
     modes = _resolve_modes(cfg, modes)
     if cfg.eta < 0.5:
-        return OptResult(0.0, EncodingParams.from_free(*zip(*[(0.0, 0.0, 0.0, 0.0)] * cfg.n)), True, 0, 0.0)
-    return _maximize_seed_only(cfg, modes, _j_inner, _j_marginal)
+        return _result(0.0, [_IDLE] * cfg.n)
+    return _optimize_grouped(modes, cfg.eta, cfg.nbar, _j_inner, _j_marginal)
 
 
 def maximize_ent_assisted(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = None) -> OptResult:
     """Maximal entanglement-assisted rate, bits per channel use."""
-    return _maximize_seed_only(cfg, _resolve_modes(cfg, modes), _i_inner, _i_marginal)
-
-
-def _maximize_seed_only(cfg: ChannelConfig, modes, inner, marginal) -> OptResult:
-    # encodings without modulation and without a closed form to compare with
-    total, param_list, iters, ok, kkt = _optimize_grouped(modes, cfg.eta, cfg.nbar, inner, marginal)
-    return OptResult(max(total, 0.0) / cfg.n, EncodingParams.from_free(*zip(*param_list)), ok, iters, kkt)
+    return _optimize_grouped(_resolve_modes(cfg, modes), cfg.eta, cfg.nbar, _i_inner, _i_marginal)
 
 
 def _local_modes(cfg: ChannelConfig) -> list[GlobalEnvMode]:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import classical_lower_analytic, classical_upper_bound, local_classical_lower
-from .channel import MAX_ABS_S, MAX_TEMP, ChannelConfig, omega_spectrum
+from .channel import ChannelConfig, _as_int, omega_spectrum
 from .entanglement import SeedState, env_min_ppt_symplectic, env_separability_scan, mean_reduced_entropy
 from .optimize import (
     maximize_classical,
@@ -31,19 +31,39 @@ from .optimize import (
 
 __all__ = ["QUANTITIES", "COLUMNS", "ScanSpec", "run_scan", "write_rows", "emit_figure_data"]
 
-QUANTITIES = (
-    "classical-lower",
-    "classical-upper",
-    "classical-local",
-    "quantum",
-    "quantum-local",
-    "ent-assisted",
-    "ent-assisted-local",
-    "seed-entropy",
-    "separability",
-)
-
 COLUMNS = ("n", "eta", "s", "T", "N", "quantity", "value_bits", "analytic_valid", "converged")
+
+
+def _optimized(res, analytic_valid=False):
+    return res.value, analytic_valid, res.converged
+
+
+def _classical_upper(cfg: ChannelConfig):
+    bound = classical_upper_bound(cfg)
+    return bound.value, bound.valid, True
+
+
+def _seed_entropy(cfg: ChannelConfig):
+    res = maximize_classical(cfg)
+    seed = SeedState.from_encoding(res.params, omega_spectrum(cfg.n))
+    return mean_reduced_entropy(seed), classical_lower_analytic(cfg).valid, res.converged
+
+
+# quantity -> evaluator of a ChannelConfig returning (value, analytic-valid,
+# converged).  Each body looks its callees up at call time, so a wrapper put
+# on this module's attribute (as the benchmark's tracer does) sees every call.
+_ROWS = {
+    "classical-lower": lambda cfg: _optimized(maximize_classical(cfg), classical_lower_analytic(cfg).valid),
+    "classical-upper": _classical_upper,
+    "classical-local": lambda cfg: (local_classical_lower(cfg), True, True),
+    "quantum": lambda cfg: _optimized(maximize_quantum(cfg)),
+    "quantum-local": lambda cfg: _optimized(maximize_quantum_local(cfg)),
+    "ent-assisted": lambda cfg: _optimized(maximize_ent_assisted(cfg)),
+    "ent-assisted-local": lambda cfg: _optimized(maximize_ent_assisted_local(cfg)),
+    "seed-entropy": _seed_entropy,
+    "separability": lambda cfg: (env_min_ppt_symplectic(cfg.s, cfg.temp), True, True),
+}
+QUANTITIES = tuple(_ROWS)
 
 
 @dataclass(frozen=True)
@@ -68,22 +88,17 @@ class ScanSpec:
             raise ValueError(f"unknown quantity {self.quantity!r}; expected one of {QUANTITIES}")
         if self.quantity == "separability" and self.n != 2:
             raise ValueError("separability scans require n=2")
-        object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
-        object.__setattr__(self, "temps", tuple(float(t) for t in self.temps))
-        object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))
-        if not self.etas or not self.temps or not self.s_values:
-            raise ValueError("scan grids must be nonempty")
-        # NaN fails every ordered comparison, so these also reject it
-        if any(not 0.0 <= e <= 1.0 for e in self.etas):
-            raise ValueError("eta grid must lie in [0, 1]")
-        if any(not 0.0 <= t <= MAX_TEMP for t in self.temps):
-            raise ValueError(f"temperature grid must lie in [0, {MAX_TEMP:g}]")
-        if any(not abs(s) <= MAX_ABS_S for s in self.s_values):
-            raise ValueError(f"s grid must lie in [-{MAX_ABS_S:g}, {MAX_ABS_S:g}]")
+        # ChannelConfig checks every grid value, and n and nbar with them
+        for name, field in (("etas", "eta"), ("temps", "temp"), ("s_values", "s")):
+            grid = tuple(float(v) for v in getattr(self, name))
+            if not grid:
+                raise ValueError("scan grids must be nonempty")
+            for value in grid:
+                ChannelConfig(**{"n": self.n, "eta": 1.0, "s": 0.0, "nbar": self.nbar, field: value})
+            object.__setattr__(self, name, grid)
+        object.__setattr__(self, "jobs", _as_int("jobs", self.jobs))
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        # n and nbar range checks are delegated to ChannelConfig
-        ChannelConfig(n=self.n, eta=self.etas[0], s=self.s_values[0], temp=self.temps[0], nbar=self.nbar)
 
     @classmethod
     def from_ranges(
@@ -98,69 +113,29 @@ class ScanSpec:
         s_steps: int,
         jobs: int = 1,
     ) -> "ScanSpec":
+        s_steps = _as_int("s_steps", s_steps)
         if s_steps < 1:
             raise ValueError("s_steps must be >= 1")
-        if s_steps == 1:
-            s_values = (float(s_min),)
-        else:
-            s_values = tuple(np.linspace(s_min, s_max, s_steps))
         return cls(
             quantity=quantity,
             n=n,
             nbar=nbar,
             etas=tuple(np.atleast_1d(etas).astype(float)),
             temps=tuple(np.atleast_1d(temps).astype(float)),
-            s_values=s_values,
+            s_values=tuple(np.linspace(s_min, s_max, s_steps)),
             jobs=jobs,
         )
 
 
 def _evaluate_point(quantity: str, n: int, eta: float, s: float, temp: float, nbar: float):
     """Value, analytic-validity flag, and convergence flag at one grid point."""
-    if quantity == "separability":
-        return env_min_ppt_symplectic(s, temp), True, True
-    cfg = ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=nbar)
-    if quantity == "classical-lower":
-        res = maximize_classical(cfg)
-        return res.value, classical_lower_analytic(cfg).valid, res.converged
-    if quantity == "classical-upper":
-        bound = classical_upper_bound(cfg)
-        return bound.value, bound.valid, True
-    if quantity == "classical-local":
-        return local_classical_lower(cfg), True, True
-    if quantity == "quantum":
-        res = maximize_quantum(cfg)
-        return res.value, False, res.converged
-    if quantity == "quantum-local":
-        res = maximize_quantum_local(cfg)
-        return res.value, False, res.converged
-    if quantity == "ent-assisted":
-        res = maximize_ent_assisted(cfg)
-        return res.value, False, res.converged
-    if quantity == "ent-assisted-local":
-        res = maximize_ent_assisted_local(cfg)
-        return res.value, False, res.converged
-    if quantity == "seed-entropy":
-        res = maximize_classical(cfg)
-        seed = SeedState.from_encoding(res.params, omega_spectrum(n))
-        return mean_reduced_entropy(seed), classical_lower_analytic(cfg).valid, res.converged
-    raise ValueError(f"unknown quantity {quantity!r}")
+    return _ROWS[quantity](ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=nbar))
 
 
 def _eval_task(task):
     quantity, n, eta, s, temp, nbar = task
-    value, valid, converged = _evaluate_point(quantity, n, eta, s, temp, nbar)
-    return {
-        "n": n,
-        "eta": eta,
-        "s": s,
-        "T": temp,
-        "N": nbar,
-        "quantity": quantity,
-        "value_bits": float(value),
-        "analytic_valid": bool(valid),
-        "converged": bool(converged),
-    }
+    value, valid, converged = _evaluate_point(*task)
+    return dict(zip(COLUMNS, (n, eta, s, temp, nbar, quantity, float(value), bool(valid), bool(converged))))
 
 
 def run_scan(spec: ScanSpec, progress=None) -> list[dict]:
@@ -218,13 +193,8 @@ def format_rows(rows: list[dict], fmt: str, columns=COLUMNS) -> str:
             writer.writerow([_csv_cell(key, row[key]) for key in columns])
         return buf.getvalue()
     if fmt == "json":
-        payload = []
-        for row in rows:
-            out = {}
-            for key in columns:
-                value = row[key]
-                out[key] = float(_fmt(value)) if isinstance(value, float) else value
-            payload.append(out)
+        payload = [{key: float(_fmt(row[key])) if isinstance(row[key], float) else row[key] for key in columns}
+                   for row in rows]
         return json.dumps(payload, indent=1) + "\n"
     raise ValueError(f"unknown format {fmt!r}; expected csv or json")
 
@@ -236,35 +206,32 @@ def write_rows(rows: list[dict], path, fmt: str, columns=COLUMNS) -> Path:
     return path
 
 
-# Grids behind the standard figure panels, panel -> (etas, temps, quantities):
-# n=10 curves of value vs |s| on [0, 3], except the two-use panel 6, which
-# scans the (s, T) plane at n=2.
+# Grids behind the standard figure panels, panel -> (n, etas, temps,
+# quantities): n=10 curves of value vs |s| on [0, 3], except the two-use
+# panel 6, which scans the (s, T) plane; its temps None stands for the
+# s_steps-point grid on [0, 6].
 _FIGURES = {
-    "2a": ((0.1, 0.3, 0.5, 0.7, 0.9), (0.0,), ("classical-lower", "classical-local")),
-    "2b": ((0.9,), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), ("classical-lower", "classical-local")),
-    "3a": ((0.6, 0.7, 0.8, 0.9), (0.0,), ("quantum", "quantum-local")),
-    "3b": ((0.9,), (0.0, 0.5, 1.0, 1.5), ("quantum", "quantum-local")),
-    "4a": ((0.1, 0.3, 0.5, 0.7, 0.9), (0.0,), ("ent-assisted", "ent-assisted-local")),
-    "4b": ((0.9,), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0), ("ent-assisted", "ent-assisted-local")),
-    "5": ((0.9,), (0.0,), ("seed-entropy",)),
+    "2a": (10, (0.1, 0.3, 0.5, 0.7, 0.9), (0.0,), ("classical-lower", "classical-local")),
+    "2b": (10, (0.9,), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), ("classical-lower", "classical-local")),
+    "3a": (10, (0.6, 0.7, 0.8, 0.9), (0.0,), ("quantum", "quantum-local")),
+    "3b": (10, (0.9,), (0.0, 0.5, 1.0, 1.5), ("quantum", "quantum-local")),
+    "4a": (10, (0.1, 0.3, 0.5, 0.7, 0.9), (0.0,), ("ent-assisted", "ent-assisted-local")),
+    "4b": (10, (0.9,), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0), ("ent-assisted", "ent-assisted-local")),
+    "5": (10, (0.9,), (0.0,), ("seed-entropy",)),
+    "6": (2, (0.9,), None, ("classical-lower", "seed-entropy", "quantum", "ent-assisted", "separability")),
 }
-FIGURE_IDS = (*_FIGURES, "6")
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def figure_specs(figure_id: str, s_steps: int = 31, jobs: int = 1) -> list[ScanSpec]:
     """Scan specs backing one figure panel (N=8 throughout)."""
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
-    if figure_id == "6":
-        temps = tuple(np.linspace(0.0, 6.0, s_steps))
-        return [
-            ScanSpec.from_ranges(q, n=2, nbar=8.0, etas=(0.9,), temps=temps,
-                                 s_min=0.0, s_max=3.0, s_steps=s_steps, jobs=jobs)
-            for q in ("classical-lower", "seed-entropy", "quantum", "ent-assisted", "separability")
-        ]
-    etas, temps, quantities = _FIGURES[figure_id]
+    n, etas, temps, quantities = _FIGURES[figure_id]
+    if temps is None:
+        temps = np.linspace(0.0, 6.0, _as_int("s_steps", s_steps))
     return [
-        ScanSpec.from_ranges(q, n=10, nbar=8.0, etas=etas, temps=temps, s_min=0.0, s_max=3.0,
+        ScanSpec.from_ranges(q, n=n, nbar=8.0, etas=etas, temps=temps, s_min=0.0, s_max=3.0,
                              s_steps=s_steps, jobs=jobs)
         for q in quantities
     ]
@@ -287,13 +254,8 @@ def emit_figure_data(figure_id: str, out_dir=".", *, s_steps: int = 31, fmt: str
         rows.extend(run_scan(spec, progress=progress))
     paths = [write_rows(rows, out_dir / f"fig{figure_id}.{fmt}", fmt)]
     if figure_id == "6":
-        boundary = env_separability_scan(specs[0].s_values, specs[0].temps)
-        brows = [
-            {"s": float(s), "T_boundary": float(tb), "quantity": "separability-boundary"}
-            for s, tb in boundary
-        ]
-        paths.append(
-            write_rows(brows, out_dir / f"fig6_boundary.{fmt}", fmt,
-                       columns=("s", "T_boundary", "quantity"))
-        )
+        brows = [{"s": float(s), "T_boundary": float(tb), "quantity": "separability-boundary"}
+                 for s, tb in env_separability_scan(specs[0].s_values, specs[0].temps)]
+        paths.append(write_rows(brows, out_dir / f"fig6_boundary.{fmt}", fmt,
+                                columns=("s", "T_boundary", "quantity")))
     return paths

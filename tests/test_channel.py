@@ -158,9 +158,13 @@ class TestLocalMarginals:
         assert mean_t == pytest.approx(m_parameter(cfg), rel=1e-12)
 
     def test_zero_squeezing_gives_bare_temperature(self):
-        cfg = ChannelConfig(n=4, eta=0.5, s=0.0, temp=0.7)
-        for k in range(1, 5):
-            assert local_effective_temperature(cfg, k) == pytest.approx(0.7, abs=1e-13)
+        # equal up to roundoff in the weighted sum, as documented
+        for n in range(1, 65):
+            for temp in (0.0, 0.7, 1e3, 1e6):
+                cfg = ChannelConfig(n=n, eta=0.5, s=0.0, temp=temp)
+                for k in range(1, n + 1):
+                    err = abs(local_effective_temperature(cfg, k) - temp)
+                    assert err <= 1e-14 * (temp + 0.5), (n, temp, k, err)
 
     def test_nondecreasing_in_squeezing(self):
         for k in (1, 3, 5):

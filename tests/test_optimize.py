@@ -122,7 +122,7 @@ def numeric_classical(eta, s, temp, passive=False):
     # the water-filled path, which maximize_classical skips where the closed form holds
     cfg = cfg10(eta, s, temp)
     modes = passive_env_modes(passive_spec_from_config(cfg)) if passive else env_global_modes(cfg)
-    return _optimize_grouped(modes, cfg.eta, cfg.nbar, _chi_inner, _chi_marginal)[0] / cfg.n
+    return _optimize_grouped(modes, cfg.eta, cfg.nbar, _chi_inner, _chi_marginal).value
 
 
 class TestNumericClassicalPath:
