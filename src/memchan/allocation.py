@@ -3,8 +3,10 @@
 Splits a total photon budget n * nbar over n modes so that the sum of
 per-mode values is maximal.  For concave nondecreasing value functions the
 optimum equalizes marginal values; we find the Lagrange multiplier by
-bisection.  If the sampled marginals are found to be non-monotone the
-allocator falls back to a multistart pairwise-transfer search and flags it.
+bisection.  If the sampled marginals are found to be non-monotone, or all
+vanish at zero, the allocator returns the even split and flags it; the
+caller, which knows which modes share a value function, handles
+non-concavity.
 
 Entries of ``fns`` that are one object (by identity, not by equality), such
 as the modes of one normal-mode group, are screened and inverted once per
@@ -81,29 +83,6 @@ def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, max(fc, fd)
 
 
-def _pairwise_polish(fns, x: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    n = len(fns)
-    vals = [fns[i](x[i]) for i in range(n)]
-    for _ in range(6):
-        improved = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                pot = x[i] + x[j]
-                if pot <= 0.0:
-                    continue
-                best_u, best_v = _golden_max(
-                    lambda u: fns[i](u) + fns[j](pot - u), 0.0, pot, 1e-10 * (1.0 + pot)
-                )
-                if best_v > vals[i] + vals[j] + 1e-13:
-                    x[i], x[j] = best_u, pot - best_u
-                    vals[i], vals[j] = fns[i](x[i]), fns[j](x[j])
-                    improved = True
-        if not improved:
-            break
-    return x
-
-
 def allocate_photons(fns, nbar: float, *, return_info: bool = False):
     """Allocate the photon budget n * nbar across the n = len(fns) modes.
 
@@ -120,8 +99,8 @@ def allocate_photons(fns, nbar: float, *, return_info: bool = False):
         Photon budget per mode.
     return_info : bool
         When set, also return a dict with the multiplier and a ``fallback``
-        flag (True when the concavity check failed and the pairwise search
-        ran).
+        flag (True when the concavity screen failed or every marginal is 0
+        at the origin; the allocation is then the even split).
 
     Returns
     -------
@@ -155,8 +134,7 @@ def allocate_photons(fns, nbar: float, *, return_info: bool = False):
         if not concave:
             break
 
-    m0 = [marginals[i](0.0) for i in ids]
-    mu_hi = max(m0)
+    mu_hi = max(marginal(0.0) for marginal in marginals.values())
 
     if concave and mu_hi > 0.0:
         mu_lo = 0.0
@@ -182,17 +160,7 @@ def allocate_photons(fns, nbar: float, *, return_info: bool = False):
         result = x
     else:
         info["fallback"] = True
-        starts = [np.full(n, nbar)]
-        one_hot = np.zeros(n)
-        one_hot[int(np.argmax(m0))] = budget
-        starts.append(one_hot)
-        best_x, best_v = None, -math.inf
-        for start in starts:
-            cand = _pairwise_polish(fns, start)
-            val = sum(fn(xi) for fn, xi in zip(fns, cand))
-            if val > best_v:
-                best_x, best_v = cand, val
-        result = best_x
+        result = np.full(n, float(nbar))
 
     if return_info:
         return result, info

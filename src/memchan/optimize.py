@@ -10,7 +10,10 @@ identical value functions, so the per-mode value of photons is solved once
 per pair on a node grid, bridged by a monotone cubic, water-filled, and
 re-solved exactly at the returned allocation; three refinement rounds keep
 adding nodes near the optimum.  The analytic optimum and the
-infinite-squeezing encoding seed the inner descent.
+infinite-squeezing encoding seed the inner descent.  Where a group's value
+function is not concave (the allocator fell back, or the value lies under
+its tangent from the origin), the group's photons are also tried on k of
+its w modes, and a better split is returned unconverged.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class OptResult:
 
     value         bits per channel use
     params        optimal encoding across modes
-    converged     allocation finished cleanly and kkt_residual <= 1e-4
+    converged     allocation finished cleanly, no k-of-w split of a mode
+                  group beat it, and kkt_residual <= 1e-4
     iterations    inner per-mode optimizations performed (0 for a closed form)
     kkt_residual  spread of the marginal photon values across active mode
                   groups at the final allocation (0 for a closed form)
@@ -544,21 +548,40 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
     # KKT residual: marginal-value spread across active groups, plus any
     # idle group whose entry marginal beats the active level
     kkt = 0.0
-    active = []
-    idle = []
-    for solver in solvers:
-        y = float(best_alloc[solver.indices[0]])
-        if y > 1e-6:
-            active.append(solver.marginal(y, budget))
-        else:
-            idle.append(solver.finite_difference(y, budget))
+    ys = [float(best_alloc[solver.indices[0]]) for solver in solvers]
+    slopes = [solver.marginal(y, budget) if y > 1e-6 else solver.finite_difference(y, budget)
+              for solver, y in zip(solvers, ys)]
+    active = [m for m, y in zip(slopes, ys) if y > 1e-6]
+    idle = [m for m, y in zip(slopes, ys) if y <= 1e-6]
     if len(active) > 1:
         kkt = max(active) - min(active)
     if active and idle:
         kkt = max(kkt, max(idle) - max(active))
 
+    # A group's value can be convex above a threshold photon number (J is 0
+    # below it), where spreading over all w modes is not best.  Where the
+    # allocator fell back or f(y) lies under its tangent from the origin,
+    # try the group's photons on k < w modes, the rest idle.
+    split = False
+    for solver, y, slope in zip(solvers, ys, slopes):
+        w = len(solver.indices)
+        value = solver.solve(y)[0]
+        if w < 2 or y <= 0.0 or not (fallback or value < y * slope):
+            continue
+        group_budget = w * y
+        splits = {k: k * solver.solve(group_budget / k)[0] for k in range(1, w)}
+        k = max(splits, key=splits.get)
+        gain = splits[k] - w * value
+        if gain > 1e-12 * (1.0 + abs(w * value)):
+            split = True
+            best_total += gain
+            raw = solver.solve(group_budget / k)[1]
+            for rank, j in enumerate(solver.indices):
+                params[j] = _mirror_params(raw, modes[j].s) if rank < k else _IDLE
+
     iterations = sum(len(solver.memo) for solver in solvers)
-    return _result(max(best_total, 0.0) / n, params, not fallback and kkt <= 1e-4, iterations, kkt)
+    converged = not fallback and not split and kkt <= 1e-4
+    return _result(max(best_total, 0.0) / n, params, converged, iterations, kkt)
 
 
 def _resolve_modes(cfg: ChannelConfig, modes):

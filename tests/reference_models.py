@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from memchan.allocation import _pairwise_polish
 from memchan.channel import ChannelConfig, GlobalEnvMode, env_global_modes, omega_spectrum
 from memchan.entanglement import SeedState
 from memchan.gaussian import UnphysicalStateError, g_entropy, symplectic_eigenvalues
@@ -489,9 +488,9 @@ def _x_at_fd_marginal(fn, mu: float, budget: float, h: float, x_tol: float) -> f
 def allocate_photons_per_entry(fns, nbar: float, *, return_info: bool = False):
     """``memchan.allocation.allocate_photons`` evaluating each entry separately.
 
-    The same water-filling, screen and fallback for a positive budget, with
-    no sharing between entries and no memo: every entry's marginal is
-    recomputed at every probe.
+    The same water-filling, screen and even-split fallback for a positive
+    budget, with no sharing between entries and no memo: every entry's
+    marginal is recomputed at every probe.
     """
     fns = list(fns)
     n = len(fns)
@@ -509,8 +508,7 @@ def allocate_photons_per_entry(fns, nbar: float, *, return_info: bool = False):
         if not concave:
             break
 
-    m0 = [_fd_marginal(fn, 0.0, budget, h) for fn in fns]
-    mu_hi = max(m0)
+    mu_hi = max(_fd_marginal(fn, 0.0, budget, h) for fn in fns)
 
     if concave and mu_hi > 0.0:
         mu_lo = 0.0
@@ -531,17 +529,7 @@ def allocate_photons_per_entry(fns, nbar: float, *, return_info: bool = False):
         result = x
     else:
         info["fallback"] = True
-        starts = [np.full(n, nbar)]
-        one_hot = np.zeros(n)
-        one_hot[int(np.argmax(m0))] = budget
-        starts.append(one_hot)
-        best_x, best_v = None, -math.inf
-        for start in starts:
-            cand = _pairwise_polish(fns, start)
-            val = sum(fn(xi) for fn, xi in zip(fns, cand))
-            if val > best_v:
-                best_x, best_v = cand, val
-        result = best_x
+        result = np.full(n, float(nbar))
 
     if return_info:
         return result, info
