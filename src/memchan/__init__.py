@@ -24,7 +24,7 @@ from .analytic import (
     m_parameter,
 )
 from .channel import ChannelConfig, GlobalEnvMode
-from .entanglement import SeedState, mean_reduced_entropy, separability_boundary_temp
+from .entanglement import mean_reduced_entropy, separability_boundary_temp
 from .gaussian import g_entropy, symplectic_eigenvalues
 from .information import (
     EncodingParams,
@@ -53,7 +53,6 @@ __all__ = [
     "EncodingParams",
     "GlobalEnvMode",
     "OptResult",
-    "SeedState",
     "allocate_photons",
     "asymptotic_ent_assisted",
     "asymptotic_quantum",

@@ -1,13 +1,14 @@
 """Entanglement diagnostics for optimal seeds and the two-use environment.
 
 Two questions are covered.  First, how entangled across channel uses is the
-optimal seed state: the global-basis optimum is a product of squeezed thermal
-modes, so any single physical mode is left in a mixed marginal whose von
-Neumann entropy witnesses the inter-use entanglement (exactly, when the seed
-is pure).  Second, where does the two-use environment state stop being
-separable: for 1x1 mode splits the Gaussian PPT criterion is necessary and
-sufficient, so the boundary is the nu-tilde = 1/2 contour of the partially
-transposed covariance.
+seed of an optimal global encoding: it is a product of squeezed thermal
+normal modes, so any single physical mode is left in a mixed marginal whose
+von Neumann entropy witnesses the inter-use entanglement (exactly, when the
+seed is pure), read from the encoding's (t, r) and Omega's eigenbasis.
+Second, where does the two-use environment state stop being separable: for
+1x1 mode splits the Gaussian PPT criterion is necessary and sufficient, so
+the boundary is the nu-tilde = 1/2 contour of the partially transposed
+covariance.
 
 Both have closed forms.  In (q1, p1, q2, p2) ordering the environment is in
 symmetric standard form, A = B = v cosh(s) I and C = v sinh(s) diag(1, -1)
@@ -20,16 +21,14 @@ T >= (e^{|s|} - 1)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OmegaSpectrum
+from .channel import omega_spectrum
 from .gaussian import g_entropy
 from .information import EncodingParams
 
 __all__ = [
-    "SeedState",
     "mean_reduced_entropy",
     "env_min_ppt_symplectic",
     "separability_boundary_temp",
@@ -37,59 +36,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeedState:
-    """Seed covariance in the decoupling basis plus the basis itself.
+def mean_reduced_entropy(params: EncodingParams) -> float:
+    """Mean entropy of the single-mode marginals of a normal-mode encoding's seed.
 
-    ``t[j]`` and ``r[j]`` parametrize the j-th global-mode covariance
-    (t_j + 1/2) diag(e^{r_j}, e^{-r_j}); ``basis`` holds the eigenvector
-    rows mapping physical to global quadratures.
+    ``params`` must be such an encoding, as the three global optimizers
+    return: seed j, (t_j + 1/2) diag(e^{r_j}, e^{-r_j}), lives on Omega's
+    j-th eigenvector.  Averages S(rho_k) over the n one-versus-rest
+    partitions; for a pure seed each term is the entropy of entanglement of
+    that partition, for a mixed seed just the mean marginal entropy.
     """
-
-    t: tuple[float, ...]
-    r: tuple[float, ...]
-    basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.t)
-        if len(self.r) != n:
-            raise ValueError("t and r must have equal length")
-        if any(tj < 0 for tj in self.t):
-            raise ValueError("thermal parameters must be nonnegative")
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.shape != (n, n):
-            raise ValueError("basis must be an n x n matrix")
-        object.__setattr__(self, "basis", basis)
-
-    @classmethod
-    def from_encoding(cls, params: EncodingParams, spectrum: OmegaSpectrum) -> "SeedState":
-        """Seed of an encoding: its (t, r) part in the spectrum's basis."""
-        if params.n_modes != spectrum.n:
-            raise ValueError("encoding size does not match spectrum size")
-        return cls(t=params.t, r=params.r, basis=spectrum.vectors)
-
-    @property
-    def n(self) -> int:
-        return len(self.t)
-
-
-def mean_reduced_entropy(seed: SeedState) -> float:
-    """Mean entropy of the single-mode marginals in the physical basis.
-
-    Averages S(rho_k) over the n one-versus-rest partitions.  For a pure
-    seed each term is the entropy of entanglement of that partition; for a
-    mixed seed this is just the mean marginal entropy.
-    """
-    t = np.asarray(seed.t)
-    r = np.asarray(seed.r)
+    t = np.asarray(params.t)
+    r = np.asarray(params.r)
     dq = (t + 0.5) * np.exp(r)
     dp = (t + 0.5) * np.exp(-r)
     # marginal k is diag(sum_j v_jk^2 dq_j, sum_j v_jk^2 dp_j): no q-p terms
-    w = seed.basis**2
+    w = omega_spectrum(params.n_modes).vectors ** 2
     qvar = w.T @ dq
     pvar = w.T @ dp
     nus = np.sqrt(qvar * pvar)
-    return math.fsum(g_entropy(nu - 0.5) for nu in nus) / seed.n
+    return math.fsum(g_entropy(nu - 0.5) for nu in nus) / params.n_modes
 
 
 def env_min_ppt_symplectic(s: float, temp: float) -> float:

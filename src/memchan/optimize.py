@@ -494,10 +494,8 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
     budget = n * nbar
     solvers = [_GroupSolver(mode, indices, eta, inner, marginal) for mode, indices in _cluster_modes(modes)]
     weights = np.array([float(len(solver.indices)) for solver in solvers])
-    group_idx = [0] * n
-    for gi, solver in enumerate(solvers):
-        for j in solver.indices:
-            group_idx[j] = gi
+    group_idx = {j: gi for gi, solver in enumerate(solvers) for j in solver.indices}
+    firsts = [solver.indices[0] for solver in solvers]
 
     # solve() rounds photon numbers to 1e-10, so a smaller budget only idles
     if round(budget, 10) <= 0.0:
@@ -511,10 +509,12 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
         for x in sorted(nodes):
             solver.solve(x)
 
+    # a candidate allocation holds one photon number per group, for each of its modes
     def exact_total(alloc):
-        return math.fsum(solvers[group_idx[j]].solve(alloc[j])[0] for j in range(n))
+        return math.fsum(value for solver, y in zip(solvers, alloc)
+                         for value in [solver.solve(y)[0]] * len(solver.indices))
 
-    candidates = [np.full(n, nbar)]
+    candidates = [np.full(len(solvers), nbar)]
 
     fallback = False
     for _ in range(3):
@@ -526,29 +526,28 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
         fns = [cubics[group_idx[j]] for j in range(n)]
         alloc, info = allocate_photons(fns, nbar, return_info=True)
         fallback = fallback or info["fallback"]
-        candidates.append(np.asarray(alloc, dtype=float))
-        exact_total(alloc)  # populate nodes at the proposed optimum
+        # the modes of a group share one cubic, so they get equal photons
+        candidates.append(np.asarray(alloc, dtype=float)[firsts])
+        exact_total(candidates[-1])  # populate nodes at the proposed optimum
 
     # polish the best allocation so far with exact envelope marginals
     seed_alloc = max(candidates, key=exact_total)
-    start = np.array([
-        math.fsum(seed_alloc[j] for j in solver.indices) / len(solver.indices) for solver in solvers
-    ])
-    refined = _exact_refine(solvers, weights, budget, start)
-    candidates.append(np.array([refined[group_idx[j]] for j in range(n)]))
+    start = np.array([math.fsum([y] * len(solver.indices)) / len(solver.indices)
+                      for solver, y in zip(solvers, seed_alloc)])
+    candidates.append(_exact_refine(solvers, weights, budget, start))
 
     best_alloc = max(candidates, key=exact_total)
     best_total = exact_total(best_alloc)
 
-    params = []
-    for j in range(n):
-        raw = solvers[group_idx[j]].solve(best_alloc[j])[1]
-        params.append(_mirror_params(raw, modes[j].s))
+    params = [None] * n
+    for solver, y in zip(solvers, best_alloc):
+        for j in solver.indices:
+            params[j] = _mirror_params(solver.solve(y)[1], modes[j].s)
 
     # KKT residual: marginal-value spread across active groups, plus any
     # idle group whose entry marginal beats the active level
     kkt = 0.0
-    ys = [float(best_alloc[solver.indices[0]]) for solver in solvers]
+    ys = [float(y) for y in best_alloc]
     slopes = [solver.marginal(y, budget) if y > 1e-6 else solver.finite_difference(y, budget)
               for solver, y in zip(solvers, ys)]
     active = [m for m, y in zip(slopes, ys) if y > 1e-6]

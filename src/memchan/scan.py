@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import classical_lower_analytic, classical_upper_bound, local_classical_lower
-from .channel import ChannelConfig, _as_int, omega_spectrum
-from .entanglement import SeedState, env_min_ppt_symplectic, env_separability_scan, mean_reduced_entropy
+from .channel import ChannelConfig, _as_int
+from .entanglement import env_min_ppt_symplectic, env_separability_scan, mean_reduced_entropy
 from .optimize import (
     maximize_classical,
     maximize_ent_assisted,
@@ -45,8 +45,7 @@ def _classical_upper(cfg: ChannelConfig):
 
 def _seed_entropy(cfg: ChannelConfig):
     res = maximize_classical(cfg)
-    seed = SeedState.from_encoding(res.params, omega_spectrum(cfg.n))
-    return mean_reduced_entropy(seed), classical_lower_analytic(cfg).valid, res.converged
+    return mean_reduced_entropy(res.params), classical_lower_analytic(cfg).valid, res.converged
 
 
 # quantity -> evaluator of a ChannelConfig returning (value, analytic-valid,
@@ -127,14 +126,9 @@ class ScanSpec:
         )
 
 
-def _evaluate_point(quantity: str, n: int, eta: float, s: float, temp: float, nbar: float):
-    """Value, analytic-validity flag, and convergence flag at one grid point."""
-    return _ROWS[quantity](ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=nbar))
-
-
 def _eval_task(task):
     quantity, n, eta, s, temp, nbar = task
-    value, valid, converged = _evaluate_point(*task)
+    value, valid, converged = _ROWS[quantity](ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=nbar))
     return dict(zip(COLUMNS, (n, eta, s, temp, nbar, quantity, float(value), bool(valid), bool(converged))))
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from memchan.channel import ChannelConfig, GlobalEnvMode, env_global_modes, omega_spectrum
-from memchan.entanglement import SeedState
 from memchan.gaussian import UnphysicalStateError, g_entropy, symplectic_eigenvalues
 from memchan.information import EncodingParams, _nu_pair, chi_mode
 
@@ -251,18 +250,19 @@ def reduce_to_mode(cov: np.ndarray, k: int) -> np.ndarray:
     return cov[np.ix_(idx, idx)]
 
 
-def seed_local_covariance(seed: SeedState) -> np.ndarray:
-    """Seed covariance in the physical mode basis, block ordering.
+def seed_local_covariance(params: EncodingParams) -> np.ndarray:
+    """Seed covariance of a normal-mode encoding in the physical mode basis,
+    block ordering.
 
     The basis change is passive (orthogonal on each quadrature block), so the
     trace and the symplectic spectrum are both preserved.
     """
-    t = np.asarray(seed.t)
-    r = np.asarray(seed.r)
+    t = np.asarray(params.t)
+    r = np.asarray(params.r)
     dq = (t + 0.5) * np.exp(r)
     dp = (t + 0.5) * np.exp(-r)
-    v = seed.basis
-    n = seed.n
+    n = params.n_modes
+    v = omega_spectrum(n).vectors
     out = np.zeros((2 * n, 2 * n))
     out[:n, :n] = v.T @ np.diag(dq) @ v
     out[n:, n:] = v.T @ np.diag(dp) @ v

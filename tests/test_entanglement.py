@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from memchan.channel import ChannelConfig, omega_spectrum
+from memchan.channel import ChannelConfig
 from memchan.entanglement import (
-    SeedState,
     env_min_ppt_symplectic,
     env_separability_scan,
     mean_reduced_entropy,
@@ -34,33 +33,10 @@ BOUNDARY_S10 = 11012.732897403358258  # (e^10 - 1) / 2
 BOUNDARY_S25 = 36002449668.192936262  # (e^25 - 1) / 2
 
 
-class TestSeedState:
-    def test_validation(self):
-        basis = omega_spectrum(3).vectors
-        SeedState(t=(0.0, 0.1, 0.2), r=(0.5, -0.5, 0.0), basis=basis)
-        with pytest.raises(ValueError):
-            SeedState(t=(0.0, 0.1), r=(0.5, -0.5, 0.0), basis=basis)
-        with pytest.raises(ValueError):
-            SeedState(t=(-0.2, 0.1, 0.2), r=(0.5, -0.5, 0.0), basis=basis)
-        with pytest.raises(ValueError):
-            SeedState(t=(0.0, 0.1, 0.2), r=(0.5, -0.5, 0.0), basis=basis[:2])
-
-    def test_from_encoding(self):
-        spectrum = omega_spectrum(4)
-        params = EncodingParams.from_free(
-            [0.2, 0.0, 0.4, 0.0], [0.1, -0.2, 0.0, 0.3], [0.5] * 4, [0.5] * 4
-        )
-        seed = SeedState.from_encoding(params, spectrum)
-        assert seed.n == 4
-        assert seed.t == params.t
-        assert seed.r == params.r
-
-
 class TestReducedEntropy:
     def test_matches_dense_marginal_entropies(self):
-        basis = omega_spectrum(5).vectors
-        seed = SeedState(
-            t=(0.3, 0.0, 0.1, 0.7, 0.0), r=(0.4, -0.2, 0.0, 0.9, 1.3), basis=basis
+        seed = EncodingParams.from_free(
+            [0.3, 0.0, 0.1, 0.7, 0.0], [0.4, -0.2, 0.0, 0.9, 1.3], [0.0] * 5, [0.0] * 5
         )
         local = seed_local_covariance(seed)
         want = np.mean(
@@ -70,27 +46,23 @@ class TestReducedEntropy:
 
     def test_product_seed_has_zero_entanglement_entropy(self):
         # vacuum seeds stay product states in any orthogonal basis
-        basis = omega_spectrum(4).vectors
-        seed = SeedState(t=(0.0,) * 4, r=(0.0,) * 4, basis=basis)
+        seed = EncodingParams.from_free([0.0] * 4, [0.0] * 4, [0.0] * 4, [0.0] * 4)
         assert mean_reduced_entropy(seed) == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_seed_entropy_survives_rotation(self):
         # equal thermal occupation commutes with the basis change
-        basis = omega_spectrum(4).vectors
-        seed = SeedState(t=(0.6,) * 4, r=(0.0,) * 4, basis=basis)
+        seed = EncodingParams.from_free([0.6] * 4, [0.0] * 4, [0.0] * 4, [0.0] * 4)
         assert mean_reduced_entropy(seed) == pytest.approx(g_entropy(0.6), abs=1e-12)
 
     def test_optimal_memoryless_seed_is_product(self):
         cfg = ChannelConfig(n=10, eta=0.9, s=0.0, temp=0.0, nbar=8.0)
         res = maximize_classical(cfg)
-        seed = SeedState.from_encoding(res.params, omega_spectrum(10))
-        assert mean_reduced_entropy(seed) == pytest.approx(0.0, abs=1e-8)
+        assert mean_reduced_entropy(res.params) == pytest.approx(0.0, abs=1e-8)
 
     def test_squeezed_seeds_are_entangled_across_modes(self):
         cfg = ChannelConfig(n=10, eta=0.9, s=2.0, temp=0.0, nbar=8.0)
         res = maximize_classical(cfg)
-        seed = SeedState.from_encoding(res.params, omega_spectrum(10))
-        assert mean_reduced_entropy(seed) > 0.5
+        assert mean_reduced_entropy(res.params) > 0.5
 
 
 class TestEnvironmentSeparability:

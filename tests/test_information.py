@@ -230,6 +230,10 @@ class TestEncodingParams:
         with pytest.raises(ValueError):
             EncodingParams(t=(1.0,), r=(0.0,), c_q=(0.0,), c_p=(0.0,), n_j=(math.nan,))
 
+    def test_rejects_negative_thermal_parameter(self):
+        with pytest.raises(ValueError):
+            EncodingParams.from_free([-0.2, 0.1, 0.2], [0.5, -0.5, 0.0], [0.0] * 3, [0.0] * 3)
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             EncodingParams.from_free([0.5], [0.0, 0.0], [0.0], [0.0])

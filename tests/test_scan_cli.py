@@ -292,7 +292,7 @@ class TestCli:
         def unphysical(*args):
             raise ValueError("symplectic eigenvalue below vacuum limit")
 
-        monkeypatch.setattr("memchan.scan._evaluate_point", unphysical)
+        monkeypatch.setattr("memchan.scan.env_min_ppt_symplectic", unphysical)
         code = main(["scan", "--quantity", "separability", "--n", "2", "--s-steps", "1"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
