@@ -42,8 +42,9 @@ def mean_reduced_entropy(params: EncodingParams) -> float:
     ``params`` must be such an encoding, as the three global optimizers
     return: seed j, (t_j + 1/2) diag(e^{r_j}, e^{-r_j}), lives on Omega's
     j-th eigenvector.  Averages S(rho_k) over the n one-versus-rest
-    partitions; for a pure seed each term is the entropy of entanglement of
-    that partition, for a mixed seed just the mean marginal entropy.
+    partitions; for a pure seed (t = 0, as in every ``maximize_classical``
+    encoding) each term is the entropy of entanglement of that partition,
+    for a mixed seed just the mean marginal entropy.
     """
     t = np.asarray(params.t)
     r = np.asarray(params.r)

@@ -98,6 +98,13 @@ def chi_mode(t: float, r: float, c_q: float, c_p: float, mode: GlobalEnvMode, et
     return g_entropy(math.sqrt(aq * ap) - 0.5) - g_entropy(math.sqrt(oq * op) - 0.5)
 
 
+def _chi_modulation_slopes(aq: float, ap: float, eta: float) -> tuple[float, float]:
+    """Slopes of chi in (c_q, c_p) at averaged output (aq, ap); ValueError where it is pure."""
+    nu = math.sqrt(aq * ap)
+    gp = g_prime(nu - 0.5)
+    return gp * eta * ap / (2.0 * nu), gp * eta * aq / (2.0 * nu)
+
+
 def chi_mode_gradient(
     t: float, r: float, c_q: float, c_p: float, mode: GlobalEnvMode, eta: float
 ) -> tuple[float, float, float, float]:
@@ -121,9 +128,7 @@ def chi_mode_gradient(
 
     d_t = gp_a * d_sq(aq, ap, d_oq_t, d_op_t) - gp_o * d_sq(oq, op, d_oq_t, d_op_t)
     d_r = gp_a * d_sq(aq, ap, d_oq_r, d_op_r) - gp_o * d_sq(oq, op, d_oq_r, d_op_r)
-    d_cq = gp_a * eta * ap / (2.0 * sq_a)
-    d_cp = gp_a * eta * aq / (2.0 * sq_a)
-    return d_t, d_r, d_cq, d_cp
+    return (d_t, d_r) + _chi_modulation_slopes(aq, ap, eta)
 
 
 def _coherent_pieces(t, r, mode: GlobalEnvMode, eta):

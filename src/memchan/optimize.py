@@ -9,11 +9,12 @@ each mode's encoding at fixed photon number.  Modes come in +s/-s pairs with
 identical value functions, so the per-mode value of photons is solved once
 per pair on a node grid, bridged by a monotone cubic, water-filled, and
 re-solved exactly at the returned allocation; three refinement rounds keep
-adding nodes near the optimum.  The analytic optimum and the
-infinite-squeezing encoding seed the inner descent.  Where a group's value
-function is not concave (the allocator fell back, or the value lies under
-its tangent from the origin), the group's photons are also tried on k of
-its w modes, and a better split is returned unconverged.
+adding nodes near the optimum.  The closed form's squeezing, the
+infinite-squeezing encoding and the nearest earlier solve seed the Holevo
+descent, which searches pure seeds only.  Where a group's value function is
+not concave (the allocator fell back, or the value lies under its tangent
+from the origin), the group's photons are also tried on k of its w modes,
+and a better split is returned unconverged.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numpy as np
 from .allocation import _golden_max, allocate_photons
 from .analytic import classical_lower_from_modes
 from .channel import ChannelConfig, GlobalEnvMode, env_global_modes, local_effective_temperature
-from .gaussian import g_prime
 from .information import (
     EncodingParams,
+    _chi_modulation_slopes,
     _outputs,
     chi_mode,
     coherent_information,
@@ -113,67 +114,57 @@ def _coordinate_ascent(fun, x, bounds):
     return x, best
 
 
-def _tr_bounds(cap: float, i: int, x) -> tuple[float, float]:
-    """Interval of t (i = 0) or r (i = 1) on (t + 1/2) cosh r <= cap, the other fixed."""
-    if i == 0:
-        return 0.0, max(cap / math.cosh(x[1]) - 0.5, 0.0)
-    rm = math.acosh(max(cap / (x[0] + 0.5), 1.0))
-    return -rm, rm
-
-
 def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, warm=None):
     """Best per-mode Holevo information at photon number nj.
 
-    Returns (value, (t, r, c_q, c_p)).  Parametrized by the seed (t, r) and
-    the fraction f of the remaining modulation budget spent on c_q, so the
-    energy constraint is saturated by construction.
+    Returns (value, (0.0, r, c_q, c_p)): moving a seed's thermal part into
+    the modulation keeps the average output state and, by concavity of the
+    entropy, cannot raise the conditional output entropy, so the seed is
+    pure.  Searches the squeezing r and the fraction f of the remaining
+    budget spent on c_q, so the energy constraint is saturated.
     """
     if nj <= 1e-13:
         return 0.0, _IDLE
     cap = nj + 0.5
 
-    def split(t, r, f):
-        ctot = max(2.0 * (cap - (t + 0.5) * math.cosh(r)), 0.0)
+    def split(r, f):
+        ctot = max(2.0 * (cap - 0.5 * math.cosh(r)), 0.0)
         return f * ctot, (1.0 - f) * ctot
 
     def value(x):
-        t, r, f = x
-        cq, cp = split(t, r, f)
-        return chi_mode(t, r, cq, cp, mode, eta)
+        r, f = x
+        cq, cp = split(r, f)
+        return chi_mode(0.0, r, cq, cp, mode, eta)
 
-    def balance_f(t, r):
+    def balance_f(r):
         # modulation split that equalizes the two output quadratures
-        ctot = 2.0 * (cap - (t + 0.5) * math.cosh(r))
+        ctot = 2.0 * (cap - 0.5 * math.cosh(r))
         if ctot <= 0.0:
             return 0.5
-        oq, op, _, _ = _outputs(t, r, 0.0, 0.0, mode, eta)
+        oq, op, _, _ = _outputs(0.0, r, 0.0, 0.0, mode, eta)
         cq = 0.5 * (ctot + (op - oq) / eta)
         return min(max(cq / ctot, 0.0), 1.0)
 
     rmax0 = math.acosh(2.0 * nj + 1.0)
-    seeds = []
-    r_match = min(mode.s, rmax0 * (1.0 - 1e-12))
-    seeds.append((0.0, r_match, balance_f(0.0, r_match)))
-    r_deep = min(math.log(2.0 * nj + 1.0), rmax0 * (1.0 - 1e-12))
-    seeds.append((0.0, r_deep, balance_f(0.0, r_deep)))
-    seeds.append((0.0, 0.0, balance_f(0.0, 0.0)))
+    r_top = rmax0 * (1.0 - 1e-12)
+    r_match = min(mode.s, r_top)  # the closed form's squeezing
+    r_deep = min(math.log(2.0 * nj + 1.0), r_top)  # the infinite-squeezing encoding
+    seeds = [(r_match, balance_f(r_match)), (r_deep, balance_f(r_deep))]
     if warm is not None:
-        t_w, r_w, cq_w, cp_w = warm
-        t_w = min(max(t_w, 0.0), cap - 0.5)
+        _, r_w, cq_w, cp_w = warm
         r_w = min(max(r_w, -rmax0), rmax0)
-        if (t_w + 0.5) * math.cosh(r_w) <= cap:
-            ctot = cq_w + cp_w
-            seeds.append((t_w, r_w, cq_w / ctot if ctot > 0 else 0.5))
+        ctot = cq_w + cp_w
+        seeds.append((r_w, cq_w / ctot if ctot > 0 else 0.5))
 
     start = max(seeds, key=value)
 
     def bounds(i, x):
-        return _tr_bounds(cap, i, x) if i < 2 else (0.0, 1.0)
+        return (-rmax0, rmax0) if i == 0 else (0.0, 1.0)
 
     x, best = _coordinate_ascent(value, list(start), bounds)
-    t, r, f = x
-    cq, cp = split(t, r, f)
-    return best, (t, r, cq, cp)
+    r, f = x
+    cq, cp = split(r, f)
+    return best, (0.0, r, cq, cp)
 
 
 def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, warm):
@@ -194,10 +185,14 @@ def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, warm):
         return value(x) if (x[0] + 0.5) * math.cosh(x[1]) <= cap else -math.inf
 
     def bounds(i, x):
-        return _tr_bounds(cap, i, x)
+        # interval of t (i = 0) or r (i = 1) on (t + 1/2) cosh r <= cap, the other fixed
+        if i == 0:
+            return 0.0, max(cap / math.cosh(x[1]) - 0.5, 0.0)
+        rm = math.acosh(max(cap / (x[0] + 0.5), 1.0))
+        return -rm, rm
 
     def on_ridge(r):
-        return [_tr_bounds(cap, 0, (0.0, r))[1], float(r)]
+        return [bounds(0, (0.0, r))[1], float(r)]
 
     def ridge(r):
         return value(on_ridge(r))
@@ -214,7 +209,7 @@ def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, warm):
         start, best = [nj, 0.0], v
     if warm is not None:
         t_w = min(max(warm[0], 0.0), nj)
-        lo, hi = _tr_bounds(cap, 1, (t_w, 0.0))
+        lo, hi = bounds(1, (t_w, 0.0))
         cand = [t_w, min(max(warm[1], lo), hi)]
         v = guarded(cand)
         if v > best:
@@ -394,15 +389,12 @@ def _chi_marginal(mode: GlobalEnvMode, eta: float, nj: float, out) -> float | No
     ctot = cq + cp
     if ctot <= 1e-12:
         return None
-    # only the modulation derivatives are needed; they stay finite even at a
-    # pure output-noise state, where the full gradient has a g'(0) edge
-    oq, op, aq, ap = _outputs(t, r, cq, cp, mode, eta)
-    nu_bar = math.sqrt(aq * ap)
-    if nu_bar - 0.5 <= 0.0:
+    # the modulation slopes stay finite where the full gradient has a g'(0) edge
+    _, _, aq, ap = _outputs(t, r, cq, cp, mode, eta)
+    try:
+        d_cq, d_cp = _chi_modulation_slopes(aq, ap, eta)
+    except ValueError:
         return None
-    gp = g_prime(nu_bar - 0.5)
-    d_cq = gp * eta * ap / (2.0 * nu_bar)
-    d_cp = gp * eta * aq / (2.0 * nu_bar)
     f = cq / ctot
     # c budget grows as 2 dN at fixed seed and split
     return 2.0 * (f * d_cq + (1.0 - f) * d_cp)

@@ -6,8 +6,10 @@ covariance with its numeric PPT eigenvalue (``TwoModeCov``,
 ``interleaved_to_block``, ``ppt_min_symplectic`` and ``env_two_mode_cov``),
 against which the closed forms of ``memchan.entanglement`` are checked;
 full-spectrum Gaussian entropies, dense per-mode rates, a brute-force
-grid oracle for n <= 2 on its own kernels, and the water-filling allocator
-as it was before it shared work between entries (``allocate_photons_per_entry``).
+grid oracle for n <= 2 on its own kernels, the water-filling allocator
+as it was before it shared work between entries (``allocate_photons_per_entry``),
+60-digit mpmath forms of g, g' and the per-mode Holevo information, and a
+per-mode Holevo search that leaves the seed's thermal part free.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from memchan.channel import ChannelConfig, GlobalEnvMode, env_global_modes, omega_spectrum
@@ -534,3 +537,56 @@ def allocate_photons_per_entry(fns, nbar: float, *, return_info: bool = False):
     if return_info:
         return result, info
     return result
+
+
+def g_entropy_mp(x):
+    """g(x) = x log1p(1/x) + log1p(x), in bits, at mpmath's working precision."""
+    if x <= 0:
+        return mpmath.mpf(0)
+    return (x * mpmath.log1p(1 / x) + mpmath.log1p(x)) / mpmath.log(2)
+
+
+def g_prime_mp(x):
+    """g'(x) = log1p(1/x), in bits, at mpmath's working precision."""
+    return mpmath.log1p(1 / mpmath.mpf(x)) / mpmath.log(2)
+
+
+def chi_mode_mp(t, r, c_q, c_p, mode: GlobalEnvMode, eta) -> float:
+    """``chi_mode`` of the same binary inputs, evaluated in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        t, r, c_q, c_p, s, temp, eta = (mpmath.mpf(v) for v in (t, r, c_q, c_p, mode.s, mode.temp, eta))
+        env_q = (temp + 0.5) * mpmath.exp(s)
+        env_p = (temp + 0.5) * mpmath.exp(-s)
+        oq = eta * (t + 0.5) * mpmath.exp(r) + (1 - eta) * env_q
+        op = eta * (t + 0.5) * mpmath.exp(-r) + (1 - eta) * env_p
+        avg = mpmath.sqrt((oq + eta * c_q) * (op + eta * c_p)) - 0.5
+        return float(g_entropy_mp(avg) - g_entropy_mp(mpmath.sqrt(oq * op) - 0.5))
+
+
+def free_thermal_chi_oracle(mode, eta, nj):
+    """Best chi_mode at photon number nj with the seed's thermal part t free.
+
+    Nelder-Mead over (r, u, f) from a 9 x 3 x 3 grid of starts, where
+    t = u (cap / cosh r - 1/2) spends a share u of what the squeezing leaves
+    on the seed and f splits the rest between c_q and c_p.
+    """
+    from scipy.optimize import minimize
+
+    cap = nj + 0.5
+    rmax = math.acosh(2.0 * nj + 1.0)
+    box = [(-rmax, rmax), (0.0, 1.0), (0.0, 1.0)]
+
+    def neg_chi(x):
+        r, u, f = (min(max(v, lo), hi) for v, (lo, hi) in zip(x, box))
+        t = u * max(cap / math.cosh(r) - 0.5, 0.0)
+        ctot = max(2.0 * (cap - (t + 0.5) * math.cosh(r)), 0.0)
+        return -chi_mode(t, r, f * ctot, (1.0 - f) * ctot, mode, eta)
+
+    best = -math.inf
+    for r in np.linspace(-rmax, rmax, 9):
+        for u in (0.1, 0.5, 0.9):
+            for f in (0.1, 0.5, 0.9):
+                fit = minimize(neg_chi, [r, u, f], method="Nelder-Mead", bounds=box,
+                               options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
+                best = max(best, -fit.fun)
+    return best

@@ -3,6 +3,7 @@
 import math
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -16,6 +17,8 @@ from memchan.gaussian import (
 )
 from reference_models import (
     TwoModeCov,
+    g_entropy_mp,
+    g_prime_mp,
     interleaved_to_block,
     ppt_min_symplectic,
     purify_single_mode,
@@ -39,6 +42,22 @@ def g_reference(x):
     return float(((d + 1) * (d + 1).ln() - d * d.ln()) / ln2)
 
 
+def exponent_sweep():
+    """Two seeded mantissas m in [1, 10) for each x = m 10^e, e = -300 .. 300."""
+    rng = np.random.default_rng(60)
+    return [float(m) * 10.0 ** e for e in range(-300, 301) for m in rng.uniform(1.0, 10.0, 2)]
+
+
+def worst_relative_error(fn, reference):
+    """Largest |fn(x) - reference(x)| / |reference(x)| over the sweep, at 60 digits."""
+    worst = 0.0
+    with mpmath.workdps(60):
+        for x in exponent_sweep():
+            want = reference(mpmath.mpf(x))
+            worst = max(worst, float(abs((fn(x) - want) / want)))
+    return worst
+
+
 def random_symplectic(rng, m):
     """exp(K) with K in the symplectic Lie algebra: K = Omega R, R symmetric."""
     r = rng.normal(size=(2 * m, 2 * m))
@@ -56,6 +75,11 @@ class TestGEntropy:
     def test_matches_decimal_reference(self):
         for x in (1e-14, 1e-9, 1e-4, 0.03, 0.5, 1.0, 3.7, 8.0, 123.0, 1e6):
             assert g_entropy(x) == pytest.approx(g_reference(x), rel=1e-12)
+
+    def test_matches_mpmath_over_the_exponent_range(self):
+        # the Decimal reference above uses the textbook form, which loses
+        # digits to cancellation past x ~ 1e40
+        assert worst_relative_error(g_entropy, g_entropy_mp) <= 1e-15
 
     def test_roundoff_clamp_and_rejection(self):
         assert g_entropy(-1e-12) == 0.0
@@ -76,6 +100,9 @@ class TestGPrime:
             d = Decimal(repr(x))
             ref = float((1 + 1 / d).ln() / Decimal(2).ln())
             assert g_prime(x) == pytest.approx(ref, rel=1e-13)
+
+    def test_matches_mpmath_over_the_exponent_range(self):
+        assert worst_relative_error(g_prime, g_prime_mp) <= 1e-15
 
     def test_matches_finite_difference(self):
         for x in (0.05, 0.9, 4.0, 30.0):

@@ -18,6 +18,7 @@ from memchan.information import (
     quantum_mutual_information_gradient,
 )
 from reference_models import (
+    chi_mode_mp,
     coherent_information_rotated,
     holevo_chi,
     interleaved_to_block,
@@ -65,6 +66,25 @@ def random_interior_point(rng):
     return t, r, c_q, c_p, mode, eta
 
 
+def corner_point(rng):
+    """A (t, r, c_q, c_p, mode, eta) that often sits on a corner of the domain.
+
+    |s_j| <= 115 (|s| <= 60 times the largest Omega eigenvalue), T in
+    [0, 1e6], eta in [0, 1], and t, c_q, c_p up to about 1e6.
+    """
+
+    def corner_or(corners, draw):
+        return float(rng.choice(corners)) if rng.random() < 0.25 else float(draw())
+
+    s_j = corner_or((-115.0, 0.0, 115.0), lambda: rng.uniform(-1.0, 1.0) * 115.0 ** rng.random())
+    temp = corner_or((0.0, 1e6), lambda: 10.0 ** rng.uniform(-3.0, 6.0))
+    eta = corner_or((0.0, 1.0), rng.random)
+    t = corner_or((0.0, 1e6), lambda: 10.0 ** rng.uniform(-6.0, 6.0))
+    r = float(rng.uniform(-1.0, 1.0) * 15.0 ** rng.random())
+    c_q, c_p = (corner_or((0.0, 1e6), lambda: 10.0 ** rng.uniform(-6.0, 6.0)) for _ in range(2))
+    return t, r, c_q, c_p, GlobalEnvMode(1, s_j, temp), eta
+
+
 class TestHolevo:
     def test_matches_dense_covariances(self):
         rng = np.random.default_rng(21)
@@ -72,6 +92,27 @@ class TestHolevo:
             t, r, c_q, c_p, mode, eta = random_interior_point(rng)
             want = dense_chi(t, r, c_q, c_p, mode, eta)
             assert chi_mode(t, r, c_q, c_p, mode, eta) == pytest.approx(want, abs=1e-10)
+
+    def test_matches_mpmath_at_domain_corners(self):
+        rng = np.random.default_rng(60)
+        for _ in range(1000):
+            t, r, c_q, c_p, mode, eta = corner_point(rng)
+            got = chi_mode(t, r, c_q, c_p, mode, eta)
+            assert got == pytest.approx(chi_mode_mp(t, r, c_q, c_p, mode, eta), abs=1e-13)
+
+    def test_pure_seed_is_never_beaten(self):
+        # Moving the seed's thermal part t into the modulation keeps the
+        # photon number and the average output state; by concavity of the
+        # entropy it cannot raise the conditional output entropy.  So the
+        # Holevo solve searches pure seeds only.
+        rng = np.random.default_rng(26)
+        for _ in range(4000):
+            t, r, c_q, c_p, mode, eta = corner_point(rng)
+            pure = (0.0, r, c_q + t * math.exp(r), c_p + t * math.exp(-r))
+            assert mode_photon_number(*pure) == pytest.approx(
+                mode_photon_number(t, r, c_q, c_p), rel=1e-12, abs=1e-12)
+            chi = chi_mode(t, r, c_q, c_p, mode, eta)
+            assert chi_mode(*pure, mode, eta) >= chi - 1e-12 * max(1.0, abs(chi)), (t, r, c_q, c_p, mode, eta)
 
     def test_zero_modulation_is_zero(self):
         mode = GlobalEnvMode(1, 0.9, 0.2)

@@ -34,7 +34,12 @@ from memchan.optimize import (
     maximize_quantum,
     maximize_quantum_local,
 )
-from reference_models import brute_force_oracle, passive_env_modes, passive_spec_from_config
+from reference_models import (
+    brute_force_oracle,
+    free_thermal_chi_oracle,
+    passive_env_modes,
+    passive_spec_from_config,
+)
 from test_acceptance import FIG2A_ETAS, cfg10, valid_s_points
 
 G_OF_7P2 = 4.386538332596274923
@@ -123,7 +128,7 @@ def numeric_classical(eta, s, temp, passive=False):
     # the water-filled path, which maximize_classical skips where the closed form holds
     cfg = cfg10(eta, s, temp)
     modes = passive_env_modes(passive_spec_from_config(cfg)) if passive else env_global_modes(cfg)
-    return _optimize_grouped(modes, cfg.eta, cfg.nbar, _chi_inner, _chi_marginal).value
+    return _optimize_grouped(modes, cfg.eta, cfg.nbar, _chi_inner, _chi_marginal)
 
 
 class TestNumericClassicalPath:
@@ -138,15 +143,35 @@ class TestNumericClassicalPath:
         points += [(0.9, 0.0, float(temp)) for temp in range(6)]
         errs = []
         for point in points:
-            gap = numeric_classical(*point) - classical_lower_analytic(cfg10(*point)).value
+            res = numeric_classical(*point)
+            gap = res.value - classical_lower_analytic(cfg10(*point)).value
             if not -1e-6 <= gap <= 1e-11:
                 errs.append(f"eta, s, T = {point}: numeric minus closed form {gap:.3e}")
+            if any(t != 0.0 for t in res.params.t):
+                errs.append(f"eta, s, T = {point}: thermal seed t = {res.params.t}")
         assert not errs, "\n".join(errs)
 
     def test_passive_modes_give_same_total(self):
         for s in valid_s_points(0.9)[::4]:
             passive = numeric_classical(0.9, s, 0.0, passive=True)
-            assert passive == pytest.approx(numeric_classical(0.9, s, 0.0), abs=1e-9), s
+            assert all(t == 0.0 for t in passive.params.t), s
+            assert passive.value == pytest.approx(numeric_classical(0.9, s, 0.0).value, abs=1e-9), s
+
+
+class TestPureSeedHolevo:
+    def test_matches_a_search_with_free_thermal_seed(self):
+        # t = 0 is optimal (a seed's thermal part moved into the modulation
+        # keeps the average output and cannot raise the conditional entropy),
+        # so a solve at t = 0 must reach what a search over t reaches
+        rng = np.random.default_rng(26)
+        for _ in range(6):
+            mode = GlobalEnvMode(1, float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, 3.0)))
+            eta = float(rng.uniform(0.1, 0.95))
+            nj = float(10.0 ** rng.uniform(-1.0, 1.5))
+            value, (t, _, _, _) = _chi_inner(mode, eta, nj)
+            assert t == 0.0
+            oracle = free_thermal_chi_oracle(mode, eta, nj)
+            assert value >= oracle - 1e-9, (mode, eta, nj, value, oracle)
 
 
 class TestIntegerInputs:
