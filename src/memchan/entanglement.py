@@ -62,10 +62,13 @@ def env_min_ppt_symplectic(s: float, temp: float) -> float:
     """Smallest symplectic eigenvalue of the partially transposed env state.
 
     Closed form (temp + 1/2) e^{-|s|}; the state is separable iff the
-    returned value is >= 1/2.
+    returned value is >= 1/2.  Raises ``ValueError`` unless s is finite
+    and temp finite and nonnegative.
     """
-    if temp < 0:
-        raise ValueError("temperature parameter must be nonnegative")
+    if not math.isfinite(s):
+        raise ValueError(f"squeezing must be finite, got s={s}")
+    if not math.isfinite(temp) or temp < 0:
+        raise ValueError("temperature parameter must be finite and nonnegative")
     return (temp + 0.5) * math.exp(-abs(s))
 
 
@@ -74,8 +77,11 @@ def separability_boundary_temp(s: float) -> float:
 
     Closed form (e^{|s|} - 1)/2, the root of (T + 1/2) e^{-|s|} = 1/2;
     0.0 at s = 0, where the state is separable for every temperature.
-    Raises ``ValueError`` where the boundary overflows a float (|s| > 709.78).
+    Raises ``ValueError`` where the boundary overflows a float (|s| > 709.78)
+    and where s is not finite.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"squeezing must be finite, got s={s}")
     try:
         return 0.5 * math.expm1(abs(s))
     except OverflowError:
@@ -88,6 +94,8 @@ def env_separability_scan(s_grid, temp_grid) -> np.ndarray:
     T_boundary is :func:`separability_boundary_temp` at each squeezing
     value; points whose crossing lies outside [min(temp_grid),
     max(temp_grid)] are omitted.  Returns an array of (s, T_boundary) rows.
+    Raises ``ValueError`` on an empty grid, a non-finite entry or a negative
+    temperature.
     """
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     temp_grid = np.atleast_1d(np.asarray(temp_grid, dtype=float))
@@ -95,8 +103,8 @@ def env_separability_scan(s_grid, temp_grid) -> np.ndarray:
         raise ValueError("scan grids must be nonempty")
     t_lo = float(temp_grid.min())
     t_hi = float(temp_grid.max())
-    if t_lo < 0:
-        raise ValueError("temperature grid must be nonnegative")
+    if not np.isfinite(temp_grid).all() or t_lo < 0:
+        raise ValueError("temperature grid must be finite and nonnegative")
     points = []
     for s in s_grid:
         t_b = separability_boundary_temp(s)

@@ -9,12 +9,12 @@ each mode's encoding at fixed photon number.  Modes come in +s/-s pairs with
 identical value functions, so the per-mode value of photons is solved once
 per pair on a node grid, bridged by a monotone cubic, water-filled, and
 re-solved exactly at the returned allocation; three refinement rounds keep
-adding nodes near the optimum.  The closed form's squeezing, the
-infinite-squeezing encoding and the nearest earlier solve seed the Holevo
-descent, which searches pure seeds only.  Where a group's value function is
-not concave (the allocator fell back, or the value lies under its tangent
-from the origin), the group's photons are also tried on k of its w modes,
-and a better split is returned unconverged.
+adding nodes near the optimum.  The closed form's squeezing and the
+infinite-squeezing encoding seed the Holevo descent, which searches pure
+seeds only; the J and I descents also start from the nearest earlier solve.
+Where a group's value function is not concave (the allocator fell back, or
+the value lies under its tangent from the origin), the group's photons are
+also tried on k of its w modes, and a better split is returned unconverged.
 """
 
 from __future__ import annotations
@@ -114,14 +114,15 @@ def _coordinate_ascent(fun, x, bounds):
     return x, best
 
 
-def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, warm=None):
+def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
     """Best per-mode Holevo information at photon number nj.
 
     Returns (value, (0.0, r, c_q, c_p)): moving a seed's thermal part into
     the modulation keeps the average output state and, by concavity of the
     entropy, cannot raise the conditional output entropy, so the seed is
     pure.  Searches the squeezing r and the fraction f of the remaining
-    budget spent on c_q, so the energy constraint is saturated.
+    budget spent on c_q, so the energy constraint is saturated.  Does not
+    read ``earlier``, so the result depends on (mode, eta, nj) alone.
     """
     if nj <= 1e-13:
         return 0.0, _IDLE
@@ -150,12 +151,6 @@ def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, warm=None):
     r_match = min(mode.s, r_top)  # the closed form's squeezing
     r_deep = min(math.log(2.0 * nj + 1.0), r_top)  # the infinite-squeezing encoding
     seeds = [(r_match, balance_f(r_match)), (r_deep, balance_f(r_deep))]
-    if warm is not None:
-        _, r_w, cq_w, cp_w = warm
-        r_w = min(max(r_w, -rmax0), rmax0)
-        ctot = cq_w + cp_w
-        seeds.append((r_w, cq_w / ctot if ctot > 0 else 0.5))
-
     start = max(seeds, key=value)
 
     def bounds(i, x):
@@ -167,7 +162,7 @@ def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, warm=None):
     return best, (0.0, r, cq, cp)
 
 
-def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, warm):
+def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, earlier):
     """Best per-mode kernel(t, r, mode, eta) at photon number nj, floored at 0.
 
     Idling (t = 0) always achieves zero, so the returned value is
@@ -197,40 +192,30 @@ def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, warm):
     def ridge(r):
         return value(on_ridge(r))
 
-    # coarse (t, r) grid, then all photons thermal, then the warm start
-    start, best = None, -math.inf
-    for t in np.linspace(0.0, 1.0, 9) ** 1.5 * nj:
-        for r in np.linspace(-rmax, rmax, 11):
-            v = guarded([t, r])
-            if v > best:
-                start, best = [float(t), float(r)], v
-    v = guarded([nj, 0.0])  # all photons thermal, no squeezing
-    if v > best:
-        start, best = [nj, 0.0], v
-    if warm is not None:
-        t_w = min(max(warm[0], 0.0), nj)
+    # coarse (t, r) grid, all photons thermal, and the nearest solve in earlier
+    starts = [[float(t), float(r)] for t in np.linspace(0.0, 1.0, 9) ** 1.5 * nj
+              for r in np.linspace(-rmax, rmax, 11)]
+    starts.append([nj, 0.0])
+    if earlier:
+        t_w, r_w, _, _ = earlier[min(earlier, key=lambda k: abs(k - nj))][1]
+        t_w = min(max(t_w, 0.0), nj)
         lo, hi = bounds(1, (t_w, 0.0))
-        cand = [t_w, min(max(warm[1], lo), hi)]
-        v = guarded(cand)
-        if v > best:
-            start, best = cand, v
-    x, best = _coordinate_ascent(guarded, start, bounds)
+        starts.append([t_w, min(max(r_w, lo), hi)])
+    x, best = _coordinate_ascent(guarded, max(starts, key=guarded), bounds)
 
     # Axis-parallel moves stall against the energy constraint, where the
     # optimum usually sits; slide along the constraint curve explicitly.
-    grid_done = False
-    for _ in range(3):
+    for i in range(3):
         slack = cap - (x[0] + 0.5) * math.cosh(x[1])
         if slack > 1e-6 * cap:
             break
         lo, hi = max(x[1] - 0.7, -rmax), min(x[1] + 0.7, rmax)
-        if not grid_done:
+        if i == 0:  # widen the first slide to the best of a ridge grid
             rs = np.linspace(-rmax, rmax, 25)
             r0 = float(rs[int(np.argmax([ridge(r) for r in rs]))])
             step = 2.0 * rmax / 24
             lo2, hi2 = max(r0 - step, -rmax), min(r0 + step, rmax)
             lo, hi = min(lo, lo2), max(hi, hi2)
-            grid_done = True
         r_b, v_b = _golden_max(ridge, lo, hi, 1e-11 * (1.0 + hi - lo))
         if v_b <= best + 1e-14:
             break
@@ -243,14 +228,14 @@ def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, warm):
 
 # Each kernel is looked up at call time, so a wrapper put on this module's
 # attribute (as the benchmark's tracer does) sees every call.
-def _j_inner(mode: GlobalEnvMode, eta: float, nj: float, warm=None):
+def _j_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
     """Best per-mode coherent information at photon number nj, floored at 0."""
-    return _seed_inner(coherent_information, mode, eta, nj, warm)
+    return _seed_inner(coherent_information, mode, eta, nj, earlier)
 
 
-def _i_inner(mode: GlobalEnvMode, eta: float, nj: float, warm=None):
+def _i_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
     """Best per-mode quantum mutual information at photon number nj."""
-    return _seed_inner(quantum_mutual_information, mode, eta, nj, warm)
+    return _seed_inner(quantum_mutual_information, mode, eta, nj, earlier)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +318,7 @@ class _GroupSolver:
     """Memoized value of spending x photons on one mode of the group ``indices``.
 
     +s/-s pairs have equal value, so ``mode`` is the group's |s| representative.
+    Each inner solve gets the memo as ``earlier``; only J and I read it.
     """
 
     def __init__(self, mode: GlobalEnvMode, indices: list[int], eta: float, inner, marginal):
@@ -346,16 +332,9 @@ class _GroupSolver:
     def solve(self, nj: float) -> tuple[float, tuple]:
         # numpy rounds, then float() keeps numpy scalars out of the results
         key = float(round(max(nj, 0.0), 10))
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        warm = None
-        if self.memo:
-            nearest = min(self.memo, key=lambda k: abs(k - key))
-            warm = self.memo[nearest][1]
-        out = self.inner(self.mode, self.eta, key, warm)
-        self.memo[key] = out
-        return out
+        if key not in self.memo:
+            self.memo[key] = self.inner(self.mode, self.eta, key, self.memo)
+        return self.memo[key]
 
     def marginal(self, y: float, budget: float) -> float:
         """dV/dN at y photons: the envelope marginal, else a finite difference."""

@@ -90,8 +90,18 @@ class TestEnvironmentSeparability:
         assert separability_boundary_temp(-25.0) == pytest.approx(BOUNDARY_S25, rel=1e-14)
 
     def test_boundary_overflow_raises_value_error(self):
-        with pytest.raises(ValueError):
-            separability_boundary_temp(800.0)
+        for s in (800.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                separability_boundary_temp(s)
+
+    def test_non_finite_input_raises_value_error(self):
+        # direct library calls; the scan path is already guarded by ChannelConfig
+        for s, temp in ((math.nan, 0.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -0.1)):
+            with pytest.raises(ValueError):
+                env_min_ppt_symplectic(s, temp)
+        for s_grid, temp_grid in (([1.0, math.nan], [0.0, 6.0]), ([1.0], [math.nan]), ([1.0], [0.0, math.inf])):
+            with pytest.raises(ValueError):
+                env_separability_scan(s_grid, temp_grid)
 
     def test_state_itself_is_physical(self):
         cov = interleaved_to_block(env_two_mode_cov(2.0, 0.3).matrix())

@@ -22,11 +22,13 @@ from memchan.analytic import (
 from memchan.channel import MAX_ABS_S, MAX_NBAR, MAX_TEMP, ChannelConfig, GlobalEnvMode, env_global_modes
 from memchan.cli import main as cli_main
 from memchan.gaussian import g_entropy
-from memchan.information import EncodingParams
+from memchan.information import EncodingParams, quantum_mutual_information
 from memchan.optimize import (
     _chi_inner,
     _chi_marginal,
+    _cluster_modes,
     _FastCubic,
+    _GroupSolver,
     _optimize_grouped,
     maximize_classical,
     maximize_ent_assisted,
@@ -173,6 +175,26 @@ class TestPureSeedHolevo:
             oracle = free_thermal_chi_oracle(mode, eta, nj)
             assert value >= oracle - 1e-9, (mode, eta, nj, value, oracle)
 
+    def test_solves_do_not_depend_on_order(self):
+        # a Holevo solve is a function of (mode, eta, x) alone, so a group's
+        # memo is the same whichever photon numbers were solved before
+        rng = np.random.default_rng(7)
+        nbar = 8.0
+        for n, eta, s, temp in [(3, 0.9, 2.0, 0.5), (2, 0.6, -1.5, 2.0), (5, 0.75, 0.7, 0.0),
+                                (10, 0.95, 3.0, 1.5), (4, 0.3, -2.5, 0.2)]:
+            budget = n * nbar
+            xs = [0.0, nbar, *(budget * (i / 12.0) ** 1.6 for i in range(1, 12)), 3.3, 17.25]
+            modes = env_global_modes(ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=nbar))
+            for mode, indices in _cluster_modes(modes):
+                memos = []
+                for order in (sorted(xs), sorted(xs, reverse=True), rng.permutation(xs).tolist()):
+                    solver = _GroupSolver(mode, indices, eta, _chi_inner, _chi_marginal)
+                    for x in order:
+                        solver.solve(x)
+                    memos.append({x: (value.hex(), [v.hex() for v in params])
+                                  for x, (value, params) in solver.memo.items()})
+                assert memos[0] == memos[1] == memos[2], (n, eta, s, temp, mode)
+
 
 class TestIntegerInputs:
     # probes where an integer budget reaches the allocator's in-place rescale
@@ -299,6 +321,33 @@ class TestEntAssisted:
         res = maximize_ent_assisted(ChannelConfig(n=10, eta=0.9, s=1.0, temp=0.0, nbar=8.0))
         assert res.converged
         assert res.kkt_residual <= 1e-4
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the allocation cannot idle a whole mode group")
+    def test_at_least_assisted_rate_of_classical_input(self):
+        # The average input state of C's encoding, sent as an assisted input,
+        # spends the same photons, so C_E is at least I at that input.  At
+        # high T, C idles its weakest groups and C_E cannot.
+        points = [(5, 0.543, 0.32, 4171.0, 9.61), (3, 0.517, 1.47, 75638.0, 15.0)]
+        points += [(5, eta, s, 1e4, 8.0) for eta in (0.55, 0.7, 0.9) for s in (0.3, 1.5)]
+        errs = []
+        for i, (n, eta, s, temp, nbar) in enumerate(points):
+            cfg = ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=nbar)
+            classical = maximize_classical(cfg)
+            assisted = maximize_ent_assisted(cfg).value
+            p = classical.params
+            rates = []
+            for mode, t, r, cq, cp in zip(env_global_modes(cfg), p.t, p.r, p.c_q, p.c_p):
+                aq = (t + 0.5) * math.exp(r) + cq
+                ap = (t + 0.5) * math.exp(-r) + cp
+                rates.append(quantum_mutual_information(math.sqrt(aq * ap) - 0.5,
+                                                        0.5 * math.log(aq / ap), mode, eta))
+            average_input = math.fsum(rates) / n
+            if assisted < average_input - 1e-9:
+                errs.append(f"{cfg}: C_E {assisted} < I at C's average input {average_input}")
+            if i < 2 and classical.value > assisted + 1e-9:
+                errs.append(f"{cfg}: C {classical.value} > C_E {assisted}")
+        assert not errs, "\n".join(errs)
 
 
 class TestOracleAgreement:
