@@ -39,8 +39,9 @@ def _memoized_marginal(fn, budget: float, h: float):
     def marginal(x: float) -> float:
         value = cache.get(x)
         if value is None:
-            lo = max(x - h, 0.0)
-            hi = min(x + h, budget)
+            # the same floats as max(x - h, 0.0) and min(x + h, budget), for fewer steps
+            lo = x - h if x > h else 0.0
+            hi = x + h if x + h < budget else budget
             value = cache[x] = (fn(hi) - fn(lo)) / (hi - lo) if hi > lo else 0.0
         return value
 

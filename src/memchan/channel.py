@@ -141,6 +141,11 @@ class GlobalEnvMode:
 
     def variances(self) -> tuple[float, float]:
         """The q and p variances (temp + 1/2) e^{+s} and (temp + 1/2) e^{-s}."""
+        return self._variances
+
+    @functools.cached_property
+    def _variances(self) -> tuple[float, float]:
+        # computed on first use, so constructing a mode never overflows
         v = self.temp + 0.5
         return v * math.exp(self.s), v * math.exp(-self.s)
 

@@ -159,12 +159,21 @@ def coherent_information(t: float, r: float, mode: GlobalEnvMode, eta: float) ->
     Output entropy minus entropy exchange; zero for every pure input (t = 0)
     and nonpositive at eta = 0.
     """
-    _, _, _, _, _, _, det_out, i2, pq, pp = _coherent_pieces(t, r, mode, eta)
-    nu_plus, nu_minus, _ = _nu_pair(i2, pq * pp)
+    # _coherent_pieces and _nu_pair written out, operation for operation: this
+    # is the inner solves' kernel, and tests hold the two forms equal
+    a = (t + 0.5) * math.exp(r)
+    b = (t + 0.5) * math.exp(-r)
+    env_q, env_p = mode.variances()
+    det_out = (eta * a + (1.0 - eta) * env_q) * (eta * b + (1.0 - eta) * env_p)
+    i2 = det_out + (1.0 - 2.0 * eta) * a * b + 0.5 * eta
+    det_tau = ((1.0 - eta) * env_q * b + 0.25 * eta) * ((1.0 - eta) * env_p * a + 0.25 * eta)
+    disc = i2 * i2 - 4.0 * det_tau
+    nu_plus = math.sqrt((i2 + math.sqrt(0.0 if disc < 0.0 else disc)) / 2.0)
+    nu_minus = math.sqrt(0.0 if det_tau < 0.0 else det_tau) / nu_plus
     return (
         g_entropy(math.sqrt(det_out) - 0.5)
         - g_entropy(nu_plus - 0.5)
-        - g_entropy(max(nu_minus - 0.5, 0.0))
+        - g_entropy(0.0 if nu_minus < 0.5 else nu_minus - 0.5)
     )
 
 

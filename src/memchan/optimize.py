@@ -27,7 +27,14 @@ import numpy as np
 
 from .allocation import _golden_max, allocate_photons
 from .analytic import classical_lower_from_modes
-from .channel import ChannelConfig, GlobalEnvMode, env_global_modes, local_effective_temperature
+from .channel import (
+    MAX_ABS_S,
+    MAX_TEMP,
+    ChannelConfig,
+    GlobalEnvMode,
+    env_global_modes,
+    local_effective_temperature,
+)
 from .information import (
     EncodingParams,
     _chi_modulation_slopes,
@@ -84,8 +91,8 @@ def _coordinate_ascent(fun, x, bounds):
     """Cyclic golden-section ascent of fun(list) with per-coordinate bounds.
 
     ``bounds(i, x)`` returns the feasible interval of coordinate i given the
-    rest of x.  Stops when no coordinate moved more than 1e-9 or the value
-    stalls.
+    rest of x.  Stops after a cycle in which no coordinate moved more than
+    1e-9 and the value rose by less than 1e-13, or after 10 cycles.
     """
     x = list(x)
     best = fun(x)
@@ -193,8 +200,8 @@ def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, earlier):
         return value(on_ridge(r))
 
     # coarse (t, r) grid, all photons thermal, and the nearest solve in earlier
-    starts = [[float(t), float(r)] for t in np.linspace(0.0, 1.0, 9) ** 1.5 * nj
-              for r in np.linspace(-rmax, rmax, 11)]
+    r_grid = np.linspace(-rmax, rmax, 11).tolist()
+    starts = [[float(t), r] for t in np.linspace(0.0, 1.0, 9) ** 1.5 * nj for r in r_grid]
     starts.append([nj, 0.0])
     if earlier:
         t_w, r_w, _, _ = earlier[min(earlier, key=lambda k: abs(k - nj))][1]
@@ -306,11 +313,17 @@ class _FastCubic:
         self.breaks, self.lo, self.hi = xs, xs[0], xs[-1]
 
     def __call__(self, x: float) -> float:
-        x = min(max(x, self.lo), self.hi)
-        k = bisect.bisect_right(self.breaks, x) - 1
-        k = min(max(k, 0), len(self.coefs) - 1)
-        dx = x - self.breaks[k]
-        c3, c2, c1, c0 = self.coefs[k]
+        # comparisons, not min/max: the allocator calls this in its innermost loop
+        breaks, coefs = self.breaks, self.coefs
+        if x < self.lo:
+            x = self.lo
+        elif x > self.hi:
+            x = self.hi
+        k = bisect.bisect_right(breaks, x) - 1  # >= 0 once x is clamped
+        if k == len(coefs):  # x is the last break (or NaN)
+            k -= 1
+        dx = x - breaks[k]
+        c3, c2, c1, c0 = coefs[k]
         return ((c3 * dx + c2) * dx + c1) * dx + c0
 
 
@@ -560,6 +573,19 @@ def _resolve_modes(cfg: ChannelConfig, modes):
     modes = list(modes)
     if len(modes) != cfg.n:
         raise ValueError(f"got {len(modes)} modes for an n={cfg.n} channel")
+    # ChannelConfig's corner squeezed twice as far: the kernels stay finite
+    # there, and every local mode's T_eff (4.8e56 at most) stays under it
+    max_variance = (MAX_TEMP + 0.5) * math.exp(2.0 * MAX_ABS_S)
+    for mode in modes:
+        if not (math.isfinite(mode.s) and math.isfinite(mode.temp)):
+            raise ValueError(f"mode {mode.index}: s and temp must be finite, got {mode}")
+        if mode.temp < -1e-9:  # g_entropy's roundoff allowance
+            raise ValueError(f"mode {mode.index}: temp must be >= 0, got {mode.temp}")
+        if abs(mode.s) > 2.0 * MAX_ABS_S:
+            raise ValueError(f"mode {mode.index}: |s| must be <= {2.0 * MAX_ABS_S:g}, got {mode.s}")
+        if (mode.temp + 0.5) * math.exp(abs(mode.s)) > max_variance:
+            raise ValueError(f"mode {mode.index}: variance (temp + 1/2) e^|s| must be <= "
+                             f"{max_variance:.3g}, got {mode}")
     return modes
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from memchan import allocation
 from memchan.allocation import AllocationError, allocate_photons
 from memchan.gaussian import g_entropy, g_prime
 from memchan.optimize import _FastCubic
@@ -101,6 +102,13 @@ def _kink(x):
     return max(0.0, x - 1.0) ** 2
 
 
+def _starved():
+    # nearly flat beyond 1e-7, so beside a steep cubic it gets a few 1e-7 photons:
+    # the bisection probes x < h on it, and x + h >= budget on the steep one
+    xs = [0.0] + [1e-7 * 2.0 ** k for k in range(28)] + [24.0]
+    return _FastCubic(xs, [2e-7 * math.tanh(x / 1e-7) for x in xs])
+
+
 class _Unhashable:
     """Defines __eq__ without __hash__, so instances cannot be dict keys."""
 
@@ -117,7 +125,8 @@ class _Unhashable:
 class TestSharedWork:
     """Entries that are one object are evaluated once, with the same bits as evaluating each."""
 
-    @pytest.mark.parametrize("case", ["shared", "equal-closures", "mixed", "fallback", "unhashable"])
+    @pytest.mark.parametrize("case", ["shared", "equal-closures", "mixed", "fallback", "unhashable",
+                                      "clip-edges"])
     def test_matches_per_entry_oracle(self, case):
         a, b = _cubic(0.9, 0.0), _cubic(0.8, 0.7)
         fns = {
@@ -127,6 +136,7 @@ class TestSharedWork:
             "mixed": [a, b, a, lambda x: g_entropy(0.7 * x), b, a],
             "fallback": [_kink, g_entropy, _kink, g_entropy],
             "unhashable": [_Unhashable(0.2)] * 3 + [_Unhashable(0.2), _Unhashable(0.5)],
+            "clip-edges": [_starved(), a],
         }[case]
         for nbar in (0.5, 3.0, 8.0):
             alloc, info = allocate_photons(fns, nbar, return_info=True)
@@ -134,6 +144,26 @@ class TestSharedWork:
             assert alloc.tolist() == want.tolist(), (case, nbar)
             assert info["mu"] == want_info["mu"] and info["fallback"] == want_info["fallback"]
             assert info["fallback"] == (case == "fallback")
+
+    def test_clip_edges_are_probed(self, monkeypatch):
+        # the "clip-edges" case above reaches both ends of the probe interval's clip
+        probes = []
+        memoized = allocation._memoized_marginal
+
+        def recording(fn, budget, h):
+            marginal = memoized(fn, budget, h)
+
+            def probe(x):
+                probes.append((x, budget, h))
+                return marginal(x)
+
+            return probe
+
+        monkeypatch.setattr(allocation, "_memoized_marginal", recording)
+        alloc = allocate_photons([_starved(), _cubic(0.9, 0.0)], 3.0)
+        assert 0.0 < alloc[0] < 1e-6
+        assert any(0.0 < x < h for x, _, h in probes)
+        assert any(x < budget <= x + h for x, budget, h in probes)
 
     def test_unhashable_callable_allocates(self):
         fn = _Unhashable(0.2)

@@ -9,6 +9,8 @@ from memchan.channel import GlobalEnvMode
 from memchan.gaussian import g_entropy
 from memchan.information import (
     EncodingParams,
+    _coherent_pieces,
+    _nu_pair,
     chi_mode,
     chi_mode_gradient,
     coherent_information,
@@ -163,6 +165,33 @@ class TestCoherentInformation:
     def test_balanced_splitter_pure_env_is_zero(self):
         mode = GlobalEnvMode(1, 0.0, 0.0)
         assert coherent_information(2.0, 0.0, mode, 0.5) == pytest.approx(0.0, abs=1e-10)
+
+    def test_fused_kernel_equals_its_parts(self):
+        # coherent_information writes out _coherent_pieces and _nu_pair, which
+        # the gradient still uses; the two copies must agree bit for bit
+        def composed(t, r, mode, eta):
+            *_, det_out, i2, pq, pp = _coherent_pieces(t, r, mode, eta)
+            nu_plus, nu_minus, _ = _nu_pair(i2, pq * pp)
+            return (g_entropy(math.sqrt(det_out) - 0.5) - g_entropy(nu_plus - 0.5)
+                    - g_entropy(max(nu_minus - 0.5, 0.0)))
+
+        rng = np.random.default_rng(25)
+        for k in range(3000):
+            t = 0.0 if k % 5 == 0 else float(rng.uniform(0.0, 10.0))
+            r = float(rng.uniform(-4.0, 4.0))
+            eta = (0.0, 1.0, float(rng.uniform()))[k % 3]
+            temp = 0.0 if k % 7 == 0 else float(rng.uniform(0.0, 5.0))
+            s = (115.0, -115.0)[k % 2] if k % 11 == 0 else float(rng.uniform(-115.0, 115.0))
+            mode = GlobalEnvMode(1, s, temp)
+            want = composed(t, r, mode, eta)
+            assert coherent_information(t, r, mode, eta).hex() == want.hex(), (t, r, s, temp, eta)
+            fresh = ((temp + 0.5) * math.exp(s), (temp + 0.5) * math.exp(-s))
+            assert mode.variances() == mode.variances() == fresh
+
+    def test_mode_variances_are_computed_on_use(self):
+        mode = GlobalEnvMode(1, 800.0, 0.0)  # constructs: nothing is evaluated yet
+        with pytest.raises(OverflowError):
+            mode.variances()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(24)

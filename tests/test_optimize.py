@@ -1,5 +1,6 @@
 """End-to-end optimizer checks: analytic regime, symmetries, oracle agreement."""
 
+import bisect
 import dataclasses
 import functools
 import json
@@ -372,6 +373,11 @@ class TestOracleAgreement:
 
 
 class TestModesOverride:
+    # the optimizers that take a modes= override, and the largest variance
+    # (temp + 1/2) e^|s| a mode may carry
+    MODE_OPTIMIZERS = (maximize_classical, maximize_quantum, maximize_ent_assisted)
+    MAX_VARIANCE = (MAX_TEMP + 0.5) * math.exp(2.0 * MAX_ABS_S)
+
     def test_explicit_modes_match_default(self):
         cfg = ChannelConfig(n=5, eta=0.9, s=1.0, temp=0.2, nbar=8.0)
         direct = maximize_classical(cfg)
@@ -382,6 +388,29 @@ class TestModesOverride:
         cfg = ChannelConfig(n=5, eta=0.9, s=1.0, temp=0.2, nbar=8.0)
         with pytest.raises(ValueError):
             maximize_classical(cfg, modes=env_global_modes(cfg)[:3])
+
+    @pytest.mark.parametrize("s, temp", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf),
+        (0.0, -3.0), (0.0, -2e-9), (800.0, 0.0), (2.0 * MAX_ABS_S + 1.0, 0.0),
+        (0.0, 1e300), (2.0 * MAX_ABS_S - 1.0, 10.0 * MAX_TEMP),
+    ])
+    @pytest.mark.parametrize("fn", MODE_OPTIMIZERS, ids=lambda fn: fn.__name__)
+    def test_out_of_domain_modes_rejected(self, fn, s, temp):
+        # unchecked, these returned nan or failed inside the solve
+        cfg = ChannelConfig(n=2, eta=0.9, s=0.0, temp=0.0, nbar=2.0)
+        with pytest.raises(ValueError, match="mode 1"):
+            fn(cfg, modes=[GlobalEnvMode(1, s, temp), GlobalEnvMode(2, -s, temp)])
+
+    @pytest.mark.parametrize("s, temp", [
+        (2.0 * MAX_ABS_S, MAX_TEMP), (-2.0 * MAX_ABS_S, 0.0), (0.0, MAX_VARIANCE - 0.5),
+        (MAX_ABS_S, MAX_VARIANCE / math.exp(MAX_ABS_S) - 0.5), (0.0, -5.55e-17),
+    ])
+    @pytest.mark.parametrize("fn", MODE_OPTIMIZERS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("nbar", [2.0, MAX_NBAR])
+    def test_modes_at_the_bound_give_finite_rates(self, fn, nbar, s, temp):
+        cfg = ChannelConfig(n=2, eta=0.9, s=0.0, temp=0.0, nbar=nbar)
+        res = fn(cfg, modes=[GlobalEnvMode(1, s, temp), GlobalEnvMode(2, -s, temp)])
+        assert math.isfinite(res.value) and res.value >= 0.0
 
 
 class TestTinyBudget:
@@ -457,8 +486,30 @@ class TestPchipBridge:
     def assert_matches_scipy(xs, ys):
         cubic = _FastCubic(list(xs), list(ys))
         reference = PchipInterpolator(xs, ys)
-        assert cubic.breaks == reference.x.tolist()
+        breaks = reference.x.tolist()
+        assert cubic.breaks == breaks
         assert cubic.coefs == reference.c.T.tolist()
+
+        def horner(x):
+            # scipy's breaks and coefficients, evaluated in the cubic's order
+            x = min(max(x, breaks[0]), breaks[-1])
+            k = min(max(bisect.bisect_right(breaks, x) - 1, 0), len(breaks) - 2)
+            dx = x - breaks[k]
+            c3, c2, c1, c0 = reference.c[:, k].tolist()
+            return ((c3 * dx + c2) * dx + c1) * dx + c0
+
+        lo, hi = breaks[0], breaks[-1]
+        mids = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:])]
+        # scipy sums c0 + c1 dx + c2 dx^2 + c3 dx^3 rather than use Horner's
+        # rule, so its values equal the cubic's only where dx = 0, and elsewhere
+        # up to rounding (6 ulp of the largest node value in these draws)
+        exact = breaks[:-1] + [lo - 1.0]
+        tol = 1e-14 * max(abs(y) for y in ys)
+        for x in breaks + mids + [lo - 1.0, hi + 1.0]:
+            value = cubic(x)
+            assert value.hex() == horner(x).hex(), x
+            want = float(reference(min(max(x, lo), hi)))
+            assert value == want if x in exact else abs(value - want) <= tol, x
 
     def test_two_and_three_nodes(self):
         rng = np.random.default_rng(0)
