@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .allocation import _golden_max, allocate_photons
+# allocate_photons stays bound for the benchmark tracer until ROADMAP item 12
+from .allocation import _golden_max, allocate_photons  # noqa: F401
 from .channel import ChannelConfig, GlobalEnvMode, env_global_modes, local_effective_temperature
 from .gaussian import g_entropy
 
@@ -188,39 +189,70 @@ def classical_lower_asymptotic(n: int, nbar: float, eta: float, temp: float) -> 
     return _odd_n_limit(n, nbar, lambda x: math.log2(2.0 * x + 1.0), _thermal_chi(eta, temp))
 
 
+def _thermal_gain(floor: float, rise: float) -> float:
+    """g(f + d) - g(f) in nats for floor f >= 0 and rise d, free of cancellation.
+
+    Written as log1p(d/(f+1)) + d log1p(1/(f+d)) - f log1p(d/(f(f+d+1))),
+    whose three terms share one scale, so a rise of 1e-10 on a floor of 1/2
+    keeps its digits.
+    """
+    if rise <= 0.0:
+        return 0.0
+    gain = math.log1p(rise / (floor + 1.0)) + rise * math.log1p(1.0 / (floor + rise))
+    if floor > 0.0:
+        gain -= floor * math.log1p(rise / (floor * (floor + rise + 1.0)))
+    return gain
+
+
 def local_classical_lower(cfg: ChannelConfig) -> float:
     """Best rate of mode-by-mode coherent encodings, bits per use.
 
-    Each physical mode sees an effective thermal channel of temperature
-    T_eff(k); the photon budget is water-filled across modes.
+    Each physical mode k sees an effective thermal channel of temperature
+    T_eff(k), whose rate at x photons is g(eta x + f_k) - g(f_k) with the
+    floor f_k = (1-eta) T_eff(k).  The photon budget is water-filled
+    exactly: every active mode reaches one output photon number L, with
+    sum_k max(L - f_k, 0) = eta n N, found in one pass over the sorted
+    floors.
     """
     if cfg.eta <= 0.0:
         return 0.0
-    temps = [local_effective_temperature(cfg, k) for k in range(1, cfg.n + 1)]
-    # modes k and n+1-k see equal temperatures, often to the bit; one closure
-    # per distinct float lets allocate_photons evaluate those modes once
-    chis = {temp: _thermal_chi(cfg.eta, temp) for temp in set(temps)}
-    fns = [chis[temp] for temp in temps]
-    alloc = allocate_photons(fns, cfg.nbar)
-    return math.fsum(fn(x) for fn, x in zip(fns, alloc)) / cfg.n
+    # T_eff carries roundoff below 0 at T = 0, which g reads as 0
+    floors = sorted(max((1.0 - cfg.eta) * local_effective_temperature(cfg, k), 0.0)
+                    for k in range(1, cfg.n + 1))
+    # heights above the lowest floor, so that a tiny budget keeps its digits
+    rises = [f - floors[0] for f in floors]
+    budget = cfg.eta * cfg.n * cfg.nbar
+    total = 0.0
+    for active in range(1, cfg.n + 1):
+        total += rises[active - 1]
+        if active == cfg.n or (budget + total) / active <= rises[active]:
+            break
+    level = (budget + math.fsum(rises[:active])) / active
+    gains = [_thermal_gain(f, level - rise) for f, rise in zip(floors[:active], rises)]
+    return math.fsum(gains) / (cfg.n * math.log(2.0))
 
 
 def delta_term(nbar: float, eta: float, temp: float) -> float:
     """Single-use rate delta of the unsqueezed middle mode.
 
-    delta = g(N') - g((D + N' - N - 1)/2) - g((D - N' + N - 1)/2) with
-    N' = eta*N + (1-eta)*T and D = sqrt((N + N' + 1)^2 - 4*eta*N*(N + 1)).
-    Appears in the infinite-squeezing limits of the quantum and assisted
-    capacities for odd n.
+    delta = g(N') - g(nu_1) - g(nu_2) with N' = eta*N + (1-eta)*T and
+    nu_{1,2} = (D - 1 +- (N' - N))/2, D = sqrt((N + N' + 1)^2 - 4*eta*N*(N + 1)).
+    It is the coherent information of a thermal input through the thermal
+    attenuator (eta, T), so it appears in the infinite-squeezing limits of
+    the quantum and assisted capacities for odd n.  D^2 - 1, and the product
+    nu_1 nu_2 through P^2 - D^2 = 4 (1-eta)^2 N T (N+1)(T+1) with
+    P = 1 + (1-eta)(N + T + 2NT), are sums of nonnegative terms, so no
+    digits cancel as N or T goes to 0 or grows large.
     """
-    n_out = eta * nbar + (1.0 - eta) * temp
-    rad = (nbar + n_out + 1.0) ** 2 - 4.0 * eta * nbar * (nbar + 1.0)
-    d = math.sqrt(max(rad, 0.0))
-    return (
-        g_entropy(n_out)
-        - g_entropy(max((d + n_out - nbar - 1.0) / 2.0, 0.0))
-        - g_entropy(max((d - n_out + nbar - 1.0) / 2.0, 0.0))
-    )
+    loss = 1.0 - eta
+    n_out = eta * nbar + loss * temp
+    d2m1 = loss * (loss * (nbar * nbar + temp * temp) + 2.0 * (nbar * (1.0 + (1.0 + eta) * temp) + temp))
+    d = math.sqrt(1.0 + d2m1)
+    big = 0.5 * (d2m1 / (d + 1.0) + abs(loss * (temp - nbar)))
+    p = 1.0 + loss * (nbar + temp + 2.0 * nbar * temp)
+    product = 2.0 * loss * loss * nbar * temp * (nbar + 1.0) * (temp + 1.0) / (p + d)
+    small = max(product / big, 0.0) if big > 0.0 else 0.0
+    return g_entropy(n_out) - g_entropy(big) - g_entropy(small)
 
 
 def asymptotic_quantum(n: int, nbar: float, eta: float, temp: float) -> float:

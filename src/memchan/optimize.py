@@ -15,6 +15,15 @@ seeds only; the J and I descents also start from the nearest earlier solve.
 Where a group's value function is not concave (the allocator fell back, or
 the value lies under its tangent from the origin), the group's photons are
 also tried on k of its w modes, and a better split is returned unconverged.
+
+An unsqueezed mode (s_j = 0: every local mode, every mode at s = 0 and the
+middle mode at odd n) is a thermal attenuator, whose best Gaussian input at
+fixed energy is known (Holevo & Werner, PRA 63, 032312 (2001)): coherent
+modulation for the Holevo information, a thermal seed for J and I.  Its
+inner solve evaluates that input once and searches nothing.  J and I keep
+the search where the thermal value is not positive, since an exact zero
+there would move ``converged`` flags that certifying zero rates must settle
+first.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import _golden_max, allocate_photons
-from .analytic import classical_lower_from_modes
+from .analytic import classical_lower_from_modes, delta_term
 from .channel import (
     MAX_ABS_S,
     MAX_TEMP,
@@ -35,6 +44,7 @@ from .channel import (
     env_global_modes,
     local_effective_temperature,
 )
+from .gaussian import g_entropy
 from .information import (
     EncodingParams,
     _chi_modulation_slopes,
@@ -130,9 +140,14 @@ def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
     pure.  Searches the squeezing r and the fraction f of the remaining
     budget spent on c_q, so the energy constraint is saturated.  Does not
     read ``earlier``, so the result depends on (mode, eta, nj) alone.
+
+    An unsqueezed mode (s = 0) is a thermal attenuator, where coherent
+    modulation (0, 0, nj, nj) is optimal; it is returned without a search.
     """
     if nj <= 1e-13:
         return 0.0, _IDLE
+    if mode.s == 0.0:
+        return chi_mode(0.0, 0.0, nj, nj, mode, eta), (0.0, 0.0, nj, nj)
     cap = nj + 0.5
 
     def split(r, f):
@@ -169,14 +184,26 @@ def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
     return best, (0.0, r, cq, cp)
 
 
-def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, earlier):
+def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, earlier):
     """Best per-mode kernel(t, r, mode, eta) at photon number nj, floored at 0.
 
     Idling (t = 0) always achieves zero, so the returned value is
     nonnegative.  Returns (value, (t, r, 0.0, 0.0)).
+
+    An unsqueezed mode (s = 0) is a thermal attenuator, where the thermal
+    seed (nj, 0) is optimal; its value ``thermal(nj, eta, temp)`` is
+    returned without a search when it is positive.  A value <= 0 is left to
+    the search: an exact 0 there flips stored ``converged`` flags.
+    ``thermal`` is the closed form, not the kernel at (nj, 0): near a pure
+    environment (T -> 0) the kernel's nearly degenerate exchange spectrum
+    reads J up to 5% low at small nj, and the search would read above it.
     """
     if nj <= 1e-13:
         return 0.0, _IDLE
+    if mode.s == 0.0:
+        value = thermal(nj, eta, mode.temp)
+        if value > 0.0:
+            return value, (nj, 0.0, 0.0, 0.0)
     cap = nj + 0.5
     rmax = math.acosh(2.0 * nj + 1.0) * (1.0 - 1e-12)
 
@@ -237,12 +264,16 @@ def _seed_inner(kernel, mode: GlobalEnvMode, eta: float, nj: float, earlier):
 # attribute (as the benchmark's tracer does) sees every call.
 def _j_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
     """Best per-mode coherent information at photon number nj, floored at 0."""
-    return _seed_inner(coherent_information, mode, eta, nj, earlier)
+    return _seed_inner(coherent_information, delta_term, mode, eta, nj, earlier)
 
 
 def _i_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
     """Best per-mode quantum mutual information at photon number nj."""
-    return _seed_inner(quantum_mutual_information, mode, eta, nj, earlier)
+    return _seed_inner(quantum_mutual_information, _thermal_i, mode, eta, nj, earlier)
+
+
+def _thermal_i(nj: float, eta: float, temp: float) -> float:
+    return g_entropy(nj) + delta_term(nj, eta, temp)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,7 @@ from memchan.channel import ChannelConfig, local_effective_temperature
 from memchan.gaussian import g_entropy
 from memchan.optimize import maximize_classical, maximize_ent_assisted, maximize_quantum
 
-from reference_models import allocate_photons_per_entry
+from reference_models import allocate_photons_per_entry, g_entropy_mp
 
 # 40-digit reference values
 M_N2_S1_T0 = 0.27154031740762188924  # cosh(1)/2 - 1/2
@@ -33,6 +34,41 @@ ASYM_N11 = 4.114653077055781290664
 DELTA_88_09_0 = 3.099963263058701402681  # all 88 photons of n=11, N=8 on one mode
 # max over y of [10 g((88 - y)/10) + g(y) + delta(y)] / 11, reached at y = 10.0132
 ASYM_EA_N11 = 4.770341185469434341491
+
+
+def local_temps(cfg):
+    return [local_effective_temperature(cfg, k) for k in range(1, cfg.n + 1)]
+
+
+def local_rate_mp(cfg, temps, alloc):
+    """Local coherent-encoding rate of the allocation ``alloc``, in 50 digits."""
+    with mpmath.workdps(50):
+        eta = mpmath.mpf(cfg.eta)
+        floors = [(1 - eta) * mpmath.mpf(temp) for temp in temps]
+        total = sum(g_entropy_mp(eta * mpmath.mpf(float(x)) + f) - g_entropy_mp(f)
+                    for f, x in zip(floors, alloc))
+        return float(total / cfg.n)
+
+
+def water_filled_rate_mp(cfg):
+    """Local rate at the water level L, bisected in 50 digits.
+
+    Mode k gets x_k = max(L - f_k, 0)/eta photons with floor
+    f_k = (1-eta) T_eff(k), and L spends the whole budget n N.
+    """
+    with mpmath.workdps(50):
+        eta = mpmath.mpf(cfg.eta)
+        floors = [(1 - eta) * mpmath.mpf(temp) for temp in local_temps(cfg)]
+        budget = eta * cfg.n * mpmath.mpf(cfg.nbar)
+        lo, hi = min(floors), max(floors) + budget
+        for _ in range(200):
+            level = (lo + hi) / 2
+            if sum(max(level - f, 0) for f in floors) < budget:
+                lo = level
+            else:
+                hi = level
+        total = sum(g_entropy_mp(max(hi, f)) - g_entropy_mp(f) for f in floors)
+        return float(total / cfg.n)
 
 
 class TestMParameter:
@@ -131,15 +167,50 @@ class TestLocalRate:
         want = g_entropy(0.9 * 8.0 + 0.1 * 1.0) - g_entropy(0.1)
         assert local_classical_lower(cfg) == pytest.approx(want, abs=1e-9)
 
-    def test_shared_closures_are_bit_for_bit(self):
-        # modes with bit-equal temperatures share one closure; one closure
-        # per mode, evaluated entry by entry, gives the same bits
+    def test_water_level_is_exact(self):
+        # the exact water level against a 50-digit bisection on the level, and
+        # no worse than the finite-difference water-filling of each entry.  The
+        # oracle's own sum of g differences carries up to 1e-6 relative
+        # roundoff at a budget of 1e-10 photons per mode, so its allocation is
+        # valued in mpmath.
+        errs = []
         for s in (0.0, 0.7, -2.5):
-            cfg = ChannelConfig(n=10, eta=0.9, s=s, temp=0.5, nbar=8.0)
-            fns = [_thermal_chi(cfg.eta, local_effective_temperature(cfg, k)) for k in range(1, 11)]
-            alloc = allocate_photons_per_entry(fns, cfg.nbar)
-            want = math.fsum(fn(x) for fn, x in zip(fns, alloc)) / cfg.n
-            assert local_classical_lower(cfg) == want
+            for n in (1, 2, 3, 64):
+                for eta in (1e-6, 0.5, 1.0):
+                    for nbar in (0.0, 1e-4, 8.0, 1e6):
+                        cfg = ChannelConfig(n=n, eta=eta, s=s, temp=0.5, nbar=nbar)
+                        rate = local_classical_lower(cfg)
+                        want = water_filled_rate_mp(cfg)
+                        if abs(rate - want) > 1e-13 * abs(want):
+                            errs.append(f"{cfg}: {rate!r} against mpmath {want!r}")
+                        temps = local_temps(cfg)
+                        fns = [_thermal_chi(eta, temp) for temp in temps]
+                        oracle = local_rate_mp(cfg, temps, allocate_photons_per_entry(fns, nbar))
+                        if rate < oracle - 4.0 * math.ulp(oracle):
+                            errs.append(f"{cfg}: {rate!r} under the per-entry oracle {oracle!r}")
+        assert not errs, "\n".join(errs)
+
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_tiny_budget_on_roundoff_floors(self, n):
+        # at s = 0, T = 0 some T_eff read -3e-16, and a budget below that
+        # raised a math domain error; every floor is at least 0, as for g
+        for nbar in (1e-300, 1e-20, 1e-12):
+            cfg = ChannelConfig(n=n, eta=0.9, s=0.0, temp=0.0, nbar=nbar)
+            rate = local_classical_lower(cfg)
+            assert 0.0 < rate <= g_entropy(0.9 * nbar) * (1.0 + 1e-12), nbar
+
+    @pytest.mark.parametrize("n, eta, s, temp, nbar, short", [
+        (3, 0.11988612019629674, -4.459621866251353, 0.0, 1.8709673891494574e-4, 4.453500922115457e-07),
+        (32, 1e-6, -0.276287239588634, 1.9627956509979316, 7900.894246696586, 0.004408990165852195),
+    ])
+    def test_coarse_probe_under_report_is_mended(self, n, eta, s, temp, nbar, short):
+        # the finite-difference water-filling read ``short`` here: its probe
+        # step max(1e-7 budget, 1e-9) was coarse against the budget
+        cfg = ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=nbar)
+        rate = local_classical_lower(cfg)
+        assert rate == pytest.approx(water_filled_rate_mp(cfg), rel=1e-13, abs=0.0)
+        assert rate > short + 1e-9
+        assert maximize_classical(cfg).value >= rate - 1e-9
 
     def test_never_exceeds_global_bound_when_valid(self):
         for s in (0.0, 0.5, 1.0):
@@ -147,6 +218,16 @@ class TestLocalRate:
             bound = classical_lower_analytic(cfg)
             if bound.valid:
                 assert local_classical_lower(cfg) <= bound.value + 1e-9
+
+
+def delta_mp(nbar, eta, temp):
+    """delta_term's defining formula in 60 digits."""
+    with mpmath.workdps(60):
+        nbar, eta, temp = (mpmath.mpf(v) for v in (nbar, eta, temp))
+        n_out = eta * nbar + (1 - eta) * temp
+        d = mpmath.sqrt((nbar + n_out + 1) ** 2 - 4 * eta * nbar * (nbar + 1))
+        return float(g_entropy_mp(n_out) - g_entropy_mp((d + n_out - nbar - 1) / 2)
+                     - g_entropy_mp((d - n_out + nbar - 1) / 2))
 
 
 class TestDelta:
@@ -159,6 +240,20 @@ class TestDelta:
 
     def test_perfect_transmission(self):
         assert delta_term(8.0, 1.0, 0.0) == pytest.approx(g_entropy(8.0), abs=1e-12)
+
+    def test_matches_mpmath_over_the_domain(self):
+        # the textbook form lost 6e-9 relative at N = 1e6, eta = 0.99, T = 0.1,
+        # and read 0 for -2 at N = 1, eta = 0.5, T = 1e20, to cancellation in
+        # D and in D - 1 -+ (N' - N)
+        errs = []
+        for eta in (0.0, 0.05, 0.5, 0.9, 0.99, 0.999, 1.0):
+            for temp in (0.0, 1e-9, 1e-3, 1.0, 1e3, 1e6, 1e20):
+                for nbar in (0.0, 1e-8, 1e-3, 1.0, 8.0, 1e6, 6.4e7):
+                    got = delta_term(nbar, eta, temp)
+                    want = delta_mp(nbar, eta, temp)
+                    if abs(got - want) > 1e-14 * (1.0 + abs(want)):
+                        errs.append(f"N, eta, T = {nbar}, {eta}, {temp}: {got!r} against {want!r}")
+        assert not errs, "\n".join(errs)
 
 
 class TestAsymptotics:

@@ -23,13 +23,15 @@ from memchan.analytic import (
 from memchan.channel import MAX_ABS_S, MAX_NBAR, MAX_TEMP, ChannelConfig, GlobalEnvMode, env_global_modes
 from memchan.cli import main as cli_main
 from memchan.gaussian import g_entropy
-from memchan.information import EncodingParams, quantum_mutual_information
+from memchan.information import EncodingParams, mode_photon_number, quantum_mutual_information
 from memchan.optimize import (
     _chi_inner,
     _chi_marginal,
     _cluster_modes,
     _FastCubic,
     _GroupSolver,
+    _i_inner,
+    _j_inner,
     _optimize_grouped,
     maximize_classical,
     maximize_ent_assisted,
@@ -38,6 +40,7 @@ from memchan.optimize import (
     maximize_quantum_local,
 )
 from reference_models import (
+    _bf_mode_max,
     brute_force_oracle,
     free_thermal_chi_oracle,
     passive_env_modes,
@@ -195,6 +198,57 @@ class TestPureSeedHolevo:
                     memos.append({x: (value.hex(), [v.hex() for v in params])
                                   for x, (value, params) in solver.memo.items()})
                 assert memos[0] == memos[1] == memos[2], (n, eta, s, temp, mode)
+
+
+J_ETAS = (0.5, 0.55, 0.7, 0.9, 0.99, 1.0)
+SWEEP_TEMPS = (0.0, 0.1, 1.0, 10.0, 1e3, 1e6)
+SWEEP_PHOTONS = (1e-6, 1e-3, 0.1, 1.0, 8.0, 1e3, 1e6)
+
+
+class TestUnsqueezedClosedForm:
+    """At s = 0 a mode is a thermal attenuator, solved in closed form.
+
+    The best Gaussian input at fixed energy is coherent modulation for chi
+    and a thermal seed for J and I (Holevo & Werner, PRA 63, 032312 (2001)).
+    ``GlobalEnvMode(1, 5e-324, T)`` reaches the numeric search on the same
+    channel: exp(+-5e-324) == 1.0, so its variances equal the s = 0 ones bit
+    for bit, but its s is not 0.
+    """
+
+    @pytest.mark.parametrize("inner, etas", [
+        (_j_inner, J_ETAS), (_i_inner, (0.05, 0.3) + J_ETAS), (_chi_inner, (0.05, 0.3) + J_ETAS),
+    ], ids=["J", "I", "chi"])
+    def test_closed_form_is_at_least_the_search(self, inner, etas):
+        assert GlobalEnvMode(1, 5e-324, 1.0).variances() == GlobalEnvMode(1, 0.0, 1.0).variances()
+        errs = []
+        for eta in etas:
+            for temp in SWEEP_TEMPS:
+                for x in SWEEP_PHOTONS:
+                    value, params = inner(GlobalEnvMode(1, 0.0, temp), eta, x)
+                    searched, _ = inner(GlobalEnvMode(1, 5e-324, temp), eta, x)
+                    point = f"eta, T, x = {eta}, {temp}, {x}"
+                    if value < searched - 1e-12 * (1.0 + abs(value)):
+                        errs.append(f"{point}: closed form {value!r} under the search {searched!r}")
+                    # a search that finds no rate may return roundoff at a pure seed,
+                    # which spends fewer photons; every real rate is the closed form
+                    # and spends all of them
+                    if value <= 1e-12:
+                        continue
+                    closed = (0.0, 0.0, x, x) if inner is _chi_inner else (x, 0.0, 0.0, 0.0)
+                    if params != closed:
+                        errs.append(f"{point}: {params} is not the closed form {closed}")
+                    photons = mode_photon_number(*params)
+                    if abs(photons - x) > 1e-8 * (1.0 + x):
+                        errs.append(f"{point}: {params} spends {photons!r} photons")
+        assert not errs, "\n".join(errs)
+
+    @pytest.mark.parametrize("kind, inner", [
+        ("classical", _chi_inner), ("quantum", _j_inner), ("ent-assisted", _i_inner),
+    ])
+    def test_closed_form_reaches_the_grid_oracle(self, kind, inner):
+        for eta, temp, x in [(0.9, 0.0, 8.0), (0.7, 1.0, 0.5), (0.55, 0.1, 3.0), (0.99, 10.0, 20.0)]:
+            value, _ = inner(GlobalEnvMode(1, 0.0, temp), eta, x)
+            assert value >= _bf_mode_max(kind, 0.0, temp, eta, x) - 1e-9, (kind, eta, temp, x)
 
 
 class TestIntegerInputs:
