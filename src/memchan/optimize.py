@@ -16,6 +16,12 @@ Where a group's value function is not concave (the allocator fell back, or
 the value lies under its tangent from the origin), the group's photons are
 also tried on k of its w modes, and a better split is returned unconverged.
 
+The coordinate ascent skips a line search whose inputs, the other
+coordinates and the interval, are bit for bit those of that coordinate's
+previous search.  A search is a pure function of those inputs, and the best
+value never falls, so its answer could not beat the best and would leave the
+point where it is: the skip saves work and changes no result.
+
 An unsqueezed mode (s_j = 0: every local mode, every mode at s = 0 and the
 middle mode at odd n) is a thermal attenuator, whose best Gaussian input at
 fixed energy is known (Holevo & Werner, PRA 63, 032312 (2001)): coherent
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,15 +104,24 @@ def _result(value: float, param_list, converged=True, iterations=0, kkt=0.0) -> 
 # inner per-mode solvers
 
 
-def _coordinate_ascent(fun, x, bounds):
-    """Cyclic golden-section ascent of fun(list) with per-coordinate bounds.
+def _coordinate_ascent(line, x, bounds):
+    """Cyclic golden-section ascent with per-coordinate bounds.
 
-    ``bounds(i, x)`` returns the feasible interval of coordinate i given the
-    rest of x.  Stops after a cycle in which no coordinate moved more than
-    1e-9 and the value rose by less than 1e-13, or after 10 cycles.
+    ``line(i, x)`` returns the objective as a function of coordinate i
+    alone, the rest of x fixed; ``bounds(i, x)`` returns the feasible
+    interval of coordinate i given the rest of x.  Stops after a cycle in
+    which no coordinate moved more than 1e-9 and the value rose by less
+    than 1e-13, or after 10 cycles.
+
+    A line search is skipped when the other coordinates and the interval
+    are, bit for bit, those it last ran with.  The search is a pure
+    function of them, so it would return the same (xi, vi); the best value
+    has not fallen since, so vi would not beat it and x would not move.
+    The skip changes no result, only the work.
     """
     x = list(x)
-    best = fun(x)
+    best = line(0, x)(x[0])
+    searched = [None] * len(x)  # packed (lo, hi, other coordinates) of each last search
     for _ in range(10):
         moved = 0.0
         prev = best
@@ -115,13 +131,12 @@ def _coordinate_ascent(fun, x, bounds):
             x[i] = old
             if hi - lo <= 1e-14:
                 continue
-
-            def line(v, i=i):
-                trial = x.copy()
-                trial[i] = v
-                return fun(trial)
-
-            xi, vi = _golden_max(line, lo, hi, 1e-9 * (1.0 + hi - lo))
+            # exact bits, so -0.0 and 0.0 (and NaNs) are told apart
+            key = struct.pack(f"{len(x) + 1}d", lo, hi, *x[:i], *x[i + 1:])
+            if key == searched[i]:
+                continue
+            searched[i] = key
+            xi, vi = _golden_max(line(i, x), lo, hi, 1e-9 * (1.0 + hi - lo))
             if vi > best:
                 best = vi
                 x[i] = xi
@@ -156,8 +171,7 @@ def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
 
     def value(x):
         r, f = x
-        cq, cp = split(r, f)
-        return chi_mode(0.0, r, cq, cp, mode, eta)
+        return chi_mode(0.0, r, *split(r, f), mode, eta)
 
     def balance_f(r):
         # modulation split that equalizes the two output quadratures
@@ -178,7 +192,15 @@ def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
     def bounds(i, x):
         return (-rmax0, rmax0) if i == 0 else (0.0, 1.0)
 
-    x, best = _coordinate_ascent(value, list(start), bounds)
+    def line(i, x):
+        if i == 0:
+            f = x[1]
+            return lambda r: chi_mode(0.0, r, *split(r, f), mode, eta)
+        r = x[0]
+        ctot = max(2.0 * (cap - 0.5 * math.cosh(r)), 0.0)
+        return lambda f: chi_mode(0.0, r, f * ctot, (1.0 - f) * ctot, mode, eta)
+
+    x, best = _coordinate_ascent(line, start, bounds)
     r, f = x
     cq, cp = split(r, f)
     return best, (0.0, r, cq, cp)
@@ -220,6 +242,14 @@ def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, ear
         rm = math.acosh(max(cap / (x[0] + 0.5), 1.0))
         return -rm, rm
 
+    def line(i, x):
+        if i == 0:
+            r = x[1]
+            cosh_r = math.cosh(r)
+            return lambda t: kernel(t, r, mode, eta) if (t + 0.5) * cosh_r <= cap else -math.inf
+        t = x[0]
+        return lambda r: kernel(t, r, mode, eta) if (t + 0.5) * math.cosh(r) <= cap else -math.inf
+
     def on_ridge(r):
         return [bounds(0, (0.0, r))[1], float(r)]
 
@@ -235,7 +265,7 @@ def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, ear
         t_w = min(max(t_w, 0.0), nj)
         lo, hi = bounds(1, (t_w, 0.0))
         starts.append([t_w, min(max(r_w, lo), hi)])
-    x, best = _coordinate_ascent(guarded, max(starts, key=guarded), bounds)
+    x, best = _coordinate_ascent(line, max(starts, key=guarded), bounds)
 
     # Axis-parallel moves stall against the energy constraint, where the
     # optimum usually sits; slide along the constraint curve explicitly.
@@ -254,7 +284,7 @@ def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, ear
         if v_b <= best + 1e-14:
             break
         x, best = on_ridge(r_b), v_b
-        x, best = _coordinate_ascent(guarded, x, bounds)
+        x, best = _coordinate_ascent(line, x, bounds)
     if best <= 0.0:
         return 0.0, _IDLE
     return best, (x[0], x[1], 0.0, 0.0)
@@ -657,8 +687,14 @@ def maximize_quantum(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = Non
 
 
 def maximize_ent_assisted(cfg: ChannelConfig, modes: list[GlobalEnvMode] | None = None) -> OptResult:
-    """Maximal entanglement-assisted rate, bits per channel use."""
-    return _optimize_grouped(_resolve_modes(cfg, modes), cfg.eta, cfg.nbar, _i_inner, _i_marginal)
+    """Maximal entanglement-assisted rate, bits per channel use.
+
+    Exactly zero for eta = 0, where the output does not depend on the input.
+    """
+    modes = _resolve_modes(cfg, modes)
+    if cfg.eta == 0.0:
+        return _result(0.0, [_IDLE] * cfg.n)
+    return _optimize_grouped(modes, cfg.eta, cfg.nbar, _i_inner, _i_marginal)
 
 
 def _local_modes(cfg: ChannelConfig) -> list[GlobalEnvMode]:

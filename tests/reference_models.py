@@ -8,7 +8,8 @@ against which the closed forms of ``memchan.entanglement`` are checked;
 full-spectrum Gaussian entropies, dense per-mode rates, a brute-force
 grid oracle for n <= 2 on its own kernels, the water-filling allocator
 as it was before it shared work between entries (``allocate_photons_per_entry``),
-60-digit mpmath forms of g, g' and the per-mode Holevo information, and a
+the coordinate ascent as it was before it skipped repeated line searches
+(``coordinate_ascent_every_search``), 60-digit mpmath forms of g, g' and the per-mode Holevo information, and a
 per-mode Holevo search that leaves the seed's thermal part free.
 """
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
+from memchan.allocation import _golden_max
 from memchan.channel import ChannelConfig, GlobalEnvMode, env_global_modes, omega_spectrum
 from memchan.gaussian import UnphysicalStateError, g_entropy, symplectic_eigenvalues
 from memchan.information import EncodingParams, _nu_pair, chi_mode
@@ -537,6 +539,39 @@ def allocate_photons_per_entry(fns, nbar: float, *, return_info: bool = False):
     if return_info:
         return result, info
     return result
+
+
+def coordinate_ascent_every_search(fun, x, bounds):
+    """``memchan.optimize._coordinate_ascent`` running every line search.
+
+    ``fun`` takes the whole point as a list; each evaluation copies the
+    current point and sets the searched coordinate.
+    """
+    x = list(x)
+    best = fun(x)
+    for _ in range(10):
+        moved = 0.0
+        prev = best
+        for i in range(len(x)):
+            lo, hi = bounds(i, x)
+            old = min(max(x[i], lo), hi)
+            x[i] = old
+            if hi - lo <= 1e-14:
+                continue
+
+            def line(v, i=i):
+                trial = x.copy()
+                trial[i] = v
+                return fun(trial)
+
+            xi, vi = _golden_max(line, lo, hi, 1e-9 * (1.0 + hi - lo))
+            if vi > best:
+                best = vi
+                x[i] = xi
+                moved = max(moved, abs(xi - old))
+        if moved < 1e-9 and best - prev < 1e-13:
+            break
+    return x, best
 
 
 def g_entropy_mp(x):
