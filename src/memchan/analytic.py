@@ -153,7 +153,7 @@ def _thermal_chi(eta: float, temp: float):
     return lambda x: g_entropy(eta * x + (1.0 - eta) * temp) - base
 
 
-def _odd_n_limit(n: int, nbar: float, squeezed, *middle) -> float:
+def _odd_n_limit(cfg: ChannelConfig, squeezed, *middle) -> float:
     """Infinite-squeezing limit per use of a rate that is additive over modes.
 
     Squeezed modes give squeezed(x) at x photons.  For odd n the unsqueezed
@@ -161,8 +161,7 @@ def _odd_n_limit(n: int, nbar: float, squeezed, *middle) -> float:
     split optimally from the budget n * nbar; both callers' totals are
     concave in y.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n, nbar = cfg.n, cfg.nbar
     if n % 2 == 0:
         return squeezed(nbar)
     budget = n * nbar
@@ -186,7 +185,8 @@ def classical_lower_asymptotic(n: int, nbar: float, eta: float, temp: float) -> 
     give log2(2x + 1) at x photons and the unsqueezed middle mode gives its
     memoryless rate g(eta y + (1-eta) temp) - g((1-eta) temp) at y photons.
     """
-    return _odd_n_limit(n, nbar, lambda x: math.log2(2.0 * x + 1.0), _thermal_chi(eta, temp))
+    cfg = ChannelConfig(n=n, eta=eta, s=0.0, temp=temp, nbar=nbar)  # checks the domain
+    return _odd_n_limit(cfg, lambda x: math.log2(2.0 * x + 1.0), _thermal_chi(cfg.eta, cfg.temp))
 
 
 def _thermal_gain(floor: float, rise: float) -> float:
@@ -262,11 +262,10 @@ def asymptotic_quantum(n: int, nbar: float, eta: float, temp: float) -> float:
     the squeezed pairs carry no quantum rate, so the whole budget n * nbar
     goes to the unsqueezed middle mode, contributing delta(n * nbar)/n.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if eta < 0.5 or n % 2 == 0:
+    cfg = ChannelConfig(n=n, eta=eta, s=0.0, temp=temp, nbar=nbar)  # checks the domain
+    if cfg.eta < 0.5 or cfg.n % 2 == 0:
         return 0.0
-    return delta_term(n * nbar, eta, temp) / n
+    return delta_term(cfg.n * cfg.nbar, cfg.eta, cfg.temp) / cfg.n
 
 
 def asymptotic_ent_assisted(n: int, nbar: float, eta: float, temp: float) -> float:
@@ -276,4 +275,5 @@ def asymptotic_ent_assisted(n: int, nbar: float, eta: float, temp: float) -> flo
     g(x) at x photons and the unsqueezed middle mode gives g(y) + delta(y)
     at y photons.
     """
-    return _odd_n_limit(n, nbar, g_entropy, g_entropy, lambda y: delta_term(y, eta, temp))
+    cfg = ChannelConfig(n=n, eta=eta, s=0.0, temp=temp, nbar=nbar)  # checks the domain
+    return _odd_n_limit(cfg, g_entropy, g_entropy, lambda y: delta_term(y, cfg.eta, cfg.temp))

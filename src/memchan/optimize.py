@@ -16,6 +16,11 @@ Where a group's value function is not concave (the allocator fell back, or
 the value lies under its tangent from the origin), the group's photons are
 also tried on k of its w modes, and a better split is returned unconverged.
 
+The allocations, candidates and Newton refine are lists of builtin floats,
+summed with ``math.fsum``: memo keys come from Python's correctly rounded
+``round``, and no BLAS kernel picks a summation order here (``math``'s
+functions still come from the platform's C library).
+
 The coordinate ascent skips a line search whose inputs, the other
 coordinates and the interval, are bit for bit those of that coordinate's
 previous search.  A search is a pure function of those inputs, and the best
@@ -251,14 +256,14 @@ def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, ear
         return lambda r: kernel(t, r, mode, eta) if (t + 0.5) * math.cosh(r) <= cap else -math.inf
 
     def on_ridge(r):
-        return [bounds(0, (0.0, r))[1], float(r)]
+        return [bounds(0, (0.0, r))[1], r]
 
     def ridge(r):
         return value(on_ridge(r))
 
     # coarse (t, r) grid, all photons thermal, and the nearest solve in earlier
     r_grid = np.linspace(-rmax, rmax, 11).tolist()
-    starts = [[float(t), r] for t in np.linspace(0.0, 1.0, 9) ** 1.5 * nj for r in r_grid]
+    starts = [[(k / 8) ** 1.5 * nj, r] for k in range(9) for r in r_grid]
     starts.append([nj, 0.0])
     if earlier:
         t_w, r_w, _, _ = earlier[min(earlier, key=lambda k: abs(k - nj))][1]
@@ -275,8 +280,7 @@ def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, ear
             break
         lo, hi = max(x[1] - 0.7, -rmax), min(x[1] + 0.7, rmax)
         if i == 0:  # widen the first slide to the best of a ridge grid
-            rs = np.linspace(-rmax, rmax, 25)
-            r0 = float(rs[int(np.argmax([ridge(r) for r in rs]))])
+            r0 = max(np.linspace(-rmax, rmax, 25).tolist(), key=ridge)
             step = 2.0 * rmax / 24
             lo2, hi2 = max(r0 - step, -rmax), min(r0 + step, rmax)
             lo, hi = min(lo, lo2), max(hi, hi2)
@@ -404,8 +408,7 @@ class _GroupSolver:
         self.memo: dict[float, tuple[float, tuple]] = {}  # one entry per inner solve
 
     def solve(self, nj: float) -> tuple[float, tuple]:
-        # numpy rounds, then float() keeps numpy scalars out of the results
-        key = float(round(max(nj, 0.0), 10))
+        key = round(max(nj, 0.0), 10)
         if key not in self.memo:
             self.memo[key] = self.inner(self.mode, self.eta, key, self.memo)
         return self.memo[key]
@@ -490,41 +493,37 @@ def _exact_refine(solvers, weights, budget, start):
     clamping groups driven below zero.
     """
     m_count = len(solvers)
-    x = np.maximum(np.asarray(start, dtype=float), 0.0)
-    tot = float(weights @ x)
-    x = x * (budget / tot) if tot > 0 else np.full(m_count, budget / weights.sum())
+    x = [max(v, 0.0) for v in start]
+    tot = math.fsum(w * v for w, v in zip(weights, x))
+    x = [v * (budget / tot) for v in x] if tot > 0 else [budget / math.fsum(weights)] * m_count
     for _ in range(4):
-        marg = np.empty(m_count)
-        slope = np.empty(m_count)
-        for i, solver in enumerate(solvers):
-            probe = max(0.02 * (1.0 + x[i]), 1e-3)
-            m0 = solver.marginal(x[i], budget)
-            m1 = solver.marginal(x[i] + probe, budget)
-            marg[i] = m0
-            slope[i] = min((m1 - m0) / probe, -1e-12)
-        active = np.ones(m_count, dtype=bool)
-        new = x.copy()
-        for _ in range(m_count + 1):
-            w = weights[active]
-            inv = 1.0 / slope[active]
-            mu = (budget - float(w @ (x[active] - marg[active] * inv))) / float(w @ inv)
-            trial = x[active] + (mu - marg[active]) * inv
-            if (trial >= 0.0).all():
-                new = np.zeros(m_count)
-                new[active] = trial
+        marg, slope = [], []
+        for solver, xi in zip(solvers, x):
+            probe = max(0.02 * (1.0 + xi), 1e-3)
+            m0 = solver.marginal(xi, budget)
+            marg.append(m0)
+            slope.append(min((solver.marginal(xi + probe, budget) - m0) / probe, -1e-12))
+        active = list(range(m_count))
+        while True:
+            inv = [1.0 / slope[i] for i in active]
+            mu = ((budget - math.fsum(weights[i] * (x[i] - marg[i] * v) for i, v in zip(active, inv)))
+                  / math.fsum(weights[i] * v for i, v in zip(active, inv)))
+            trial = [x[i] + (mu - marg[i]) * v for i, v in zip(active, inv)]
+            if min(trial) >= 0.0:
                 break
-            drop = np.flatnonzero(active)[int(np.argmin(trial))]
-            active[drop] = False
-            if not active.any():
+            del active[trial.index(min(trial))]
+            if not active:
                 return x
-        step = new - x
-        cap = 0.5 * (1.0 + x) + 0.05 * budget
-        x = np.maximum(x + np.clip(step, -cap, cap), 0.0)
-        tot = float(weights @ x)
+        new = [0.0] * m_count
+        for i, v in zip(active, trial):
+            new[i] = v
+        caps = [0.5 * (1.0 + xi) + 0.05 * budget for xi in x]
+        x = [max(xi + min(max(ni - xi, -cap), cap), 0.0) for xi, ni, cap in zip(x, new, caps)]
+        tot = math.fsum(w * v for w, v in zip(weights, x))
         if tot > 0:
-            x *= budget / tot
-        spread = marg[active].max() - marg[active].min() if active.sum() > 1 else 0.0
-        if spread < 1e-9 * (1.0 + abs(float(marg[active].max()))):
+            x = [v * (budget / tot) for v in x]
+        levels = [marg[i] for i in active]
+        if max(levels) - min(levels) < 1e-9 * (1.0 + abs(max(levels))):
             break
     return x
 
@@ -538,7 +537,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
     n = len(modes)
     budget = n * nbar
     solvers = [_GroupSolver(mode, indices, eta, inner, marginal) for mode, indices in _cluster_modes(modes)]
-    weights = np.array([float(len(solver.indices)) for solver in solvers])
+    weights = [len(solver.indices) for solver in solvers]
     group_idx = {j: gi for gi, solver in enumerate(solvers) for j in solver.indices}
     firsts = [solver.indices[0] for solver in solvers]
 
@@ -559,7 +558,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
         return math.fsum(value for solver, y in zip(solvers, alloc)
                          for value in [solver.solve(y)[0]] * len(solver.indices))
 
-    candidates = [np.full(len(solvers), nbar)]
+    candidates = [[nbar] * len(solvers)]
 
     fallback = False
     for _ in range(3):
@@ -572,13 +571,14 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
         alloc, info = allocate_photons(fns, nbar, return_info=True)
         fallback = fallback or info["fallback"]
         # the modes of a group share one cubic, so they get equal photons
-        candidates.append(np.asarray(alloc, dtype=float)[firsts])
+        alloc = alloc.tolist()
+        candidates.append([alloc[j] for j in firsts])
         exact_total(candidates[-1])  # populate nodes at the proposed optimum
 
     # polish the best allocation so far with exact envelope marginals
     seed_alloc = max(candidates, key=exact_total)
-    start = np.array([math.fsum([y] * len(solver.indices)) / len(solver.indices)
-                      for solver, y in zip(solvers, seed_alloc)])
+    start = [math.fsum([y] * len(solver.indices)) / len(solver.indices)
+             for solver, y in zip(solvers, seed_alloc)]
     candidates.append(_exact_refine(solvers, weights, budget, start))
 
     best_alloc = max(candidates, key=exact_total)
@@ -592,11 +592,10 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
     # KKT residual: marginal-value spread across active groups, plus any
     # idle group whose entry marginal beats the active level
     kkt = 0.0
-    ys = [float(y) for y in best_alloc]
     slopes = [solver.marginal(y, budget) if y > 1e-6 else solver.finite_difference(y, budget)
-              for solver, y in zip(solvers, ys)]
-    active = [m for m, y in zip(slopes, ys) if y > 1e-6]
-    idle = [m for m, y in zip(slopes, ys) if y <= 1e-6]
+              for solver, y in zip(solvers, best_alloc)]
+    active = [m for m, y in zip(slopes, best_alloc) if y > 1e-6]
+    idle = [m for m, y in zip(slopes, best_alloc) if y <= 1e-6]
     if len(active) > 1:
         kkt = max(active) - min(active)
     if active and idle:
@@ -607,7 +606,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
     # allocator fell back or f(y) lies under its tangent from the origin,
     # try the group's photons on k < w modes, the rest idle.
     split = False
-    for solver, y, slope in zip(solvers, ys, slopes):
+    for solver, y, slope in zip(solvers, best_alloc, slopes):
         w = len(solver.indices)
         value = solver.solve(y)[0]
         if w < 2 or y <= 0.0 or not (fallback or value < y * slope):

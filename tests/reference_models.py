@@ -24,7 +24,7 @@ import numpy as np
 from memchan.allocation import _golden_max
 from memchan.channel import ChannelConfig, GlobalEnvMode, env_global_modes, omega_spectrum
 from memchan.gaussian import UnphysicalStateError, g_entropy, symplectic_eigenvalues
-from memchan.information import EncodingParams, _nu_pair, chi_mode
+from memchan.information import EncodingParams, chi_mode
 
 _LN2 = math.log(2.0)
 
@@ -309,7 +309,9 @@ def coherent_information_rotated(
     joint = np.block([[out_a, out_c], [out_c.T, pur.b]])
     delta = np.linalg.det(out_a) + np.linalg.det(pur.b) + 2.0 * np.linalg.det(out_c)
     det_m = np.linalg.det(joint)
-    nu_plus, nu_minus, _ = _nu_pair(float(delta), float(det_m))
+    # nu_+^2 and nu_-^2 are the roots of x^2 - delta x + det_m
+    nu_plus = math.sqrt((delta + math.sqrt(max(delta * delta - 4.0 * det_m, 0.0))) / 2.0)
+    nu_minus = math.sqrt(max(det_m, 0.0)) / nu_plus
     return (
         g_entropy(math.sqrt(max(np.linalg.det(out_a), 0.0)) - 0.5)
         - g_entropy(nu_plus - 0.5)

@@ -293,5 +293,10 @@ class TestAsymptotics:
         assert assisted.value == pytest.approx(asymptotic_ent_assisted(11, 8.0, 0.9, 0.0), abs=1e-5)
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            classical_lower_asymptotic(0, 8.0, 0.9, 0.0)
+        # (n, N, eta, T) outside ChannelConfig's domain, in the argument order of the limits
+        bad = [(0, 8.0, 0.9, 0.0), (2.5, 8.0, 0.9, 0.0), (True, 8.0, 0.9, 0.0),
+               (2, math.nan, 0.9, 0.0), (3, 8.0, 0.9, -1.0), (3, 8.0, 1.5, 0.0)]
+        for fn in (classical_lower_asymptotic, asymptotic_quantum, asymptotic_ent_assisted):
+            for args in bad:
+                with pytest.raises(ValueError):
+                    fn(*args)

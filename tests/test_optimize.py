@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+from memchan import optimize
 from memchan.allocation import _golden_max
 from memchan.analytic import (
     classical_lower_analytic,
@@ -560,6 +561,14 @@ SOLVED_PINS = {
         maximize_ent_assisted: (["0x1.4e1735c4716f1p+2", True, 125, "0x1.25ffdb4c00000p-25"],
                                 "1079730e7a81a4e4"),
     },
+    (32, -2.0): {
+        maximize_classical: (["0x1.048f6fe550fe4p+2", True, 400, "0x1.57e0ba4000000p-27"],
+                             "a3a3bf476f7efd9b"),
+        maximize_quantum: (["0x1.86af9c94196dep-1", True, 400, "0x1.fde7737c00000p-27"],
+                           "fb1412b5cfa6ae23"),
+        maximize_ent_assisted: (["0x1.4ca21234d20bfp+2", True, 400, "0x1.52d43bc200000p-24"],
+                                "0a1db6b236225a31"),
+    },
     (2, 3.0): {
         maximize_classical: (["0x1.08a36af6c2cb8p+2", True, 15, "0x0.0p+0"], "aa412d1825e3aecf"),
         maximize_quantum: (["0x1.6af9964bc9744p-1", True, 15, "0x0.0p+0"], "a987303c425519e2"),
@@ -571,13 +580,78 @@ SOLVED_PINS = {
 
 class TestSolvedPins:
     @pytest.mark.parametrize("fn", OPTIMIZERS[:3], ids=lambda fn: fn.__name__)
-    @pytest.mark.parametrize("n, s", list(SOLVED_PINS), ids=["n10", "n2"])
+    @pytest.mark.parametrize("n, s", list(SOLVED_PINS), ids=["n10", "n32", "n2"])
     def test_bit_for_bit(self, fn, n, s):
         cfg = ChannelConfig(n=n, eta=0.9, s=s, temp=1.0, nbar=8.0)
         assert not classical_lower_analytic(cfg).valid
         head, encoding = hex_dump(fn(cfg))
         digest = hashlib.sha256(json.dumps(encoding).encode()).hexdigest()[:16]
         assert (head, digest) == SOLVED_PINS[n, s][fn]
+
+
+class TestBuiltinFloats:
+    @pytest.mark.parametrize("n", [10, 32])
+    @pytest.mark.parametrize("fn", OPTIMIZERS[:3], ids=lambda fn: fn.__name__)
+    def test_solves_and_refine_see_builtin_floats(self, monkeypatch, fn, n):
+        # a numpy.float64 photon number would be keyed by numpy's round,
+        # which is not Python's correctly rounded one
+        seen = []
+        solve = _GroupSolver.solve
+        refine = optimize._exact_refine
+
+        def recording_solve(self, nj):
+            seen.append(type(nj))
+            return solve(self, nj)
+
+        def recording_refine(solvers, weights, budget, start):
+            x = refine(solvers, weights, budget, start)
+            seen.extend(type(v) for v in (*start, *x))
+            assert type(weights) is list and type(x) is list
+            return x
+
+        monkeypatch.setattr(_GroupSolver, "solve", recording_solve)
+        monkeypatch.setattr(optimize, "_exact_refine", recording_refine)
+        cfg = ChannelConfig(n=n, eta=0.9, s=-2.0, temp=1.0, nbar=8.0)
+        assert not classical_lower_analytic(cfg).valid
+        fn(cfg)
+        assert seen and set(seen) == {float}
+
+
+# large budgets at n = 32 (16 groups), where a BLAS dot product in the Newton
+# refine made C_E differ by up to 2.4e-7 between OpenBLAS kernels
+KERNEL_POINTS = [(32, 0.6, -7.0, 100.0, 1e6), (32, 0.93, -7.0, 0.3, 2e5),
+                 (32, 0.93, -7.0, 0.3, 1e6), (32, 0.6, 2.0, 100.0, 2e5)]
+
+
+class TestKernelIndependence:
+    def test_same_bits_under_a_pre_avx_blas_kernel(self):
+        """C, Q and C_E agree bit for bit under the native and the Prescott kernels.
+
+        ``OPENBLAS_CORETYPE=Prescott`` makes a dynamic-arch OpenBLAS use its
+        pre-AVX kernels, which every x86-64 CPU runs.  Where numpy is not
+        built on a dynamic-arch OpenBLAS, the variable changes nothing, and
+        the test passes without showing anything.
+        """
+        code = (
+            "import dataclasses\n"
+            "from memchan import ChannelConfig, maximize_classical, maximize_ent_assisted, "
+            "maximize_quantum\n"
+            f"for n, eta, s, temp, nbar in {KERNEL_POINTS!r}:\n"
+            "    cfg = ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=nbar)\n"
+            "    for fn in (maximize_classical, maximize_quantum, maximize_ent_assisted):\n"
+            "        res = fn(cfg)\n"
+            "        print(res.value.hex(), res.converged, res.iterations, res.kkt_residual.hex(),\n"
+            "              [[v.hex() for v in f] for f in dataclasses.astuple(res.params)])\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)  # as pytest imports memchan
+        native, prescott = (
+            subprocess.run([sys.executable, "-c", code], env=run_env, capture_output=True,
+                           text=True, check=True).stdout
+            for run_env in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})
+        )
+        assert native.count("\n") == 3 * len(KERNEL_POINTS)
+        assert native == prescott
 
 
 def _separable(rng, d):
@@ -721,7 +795,7 @@ class TestPchipBridge:
             self.assert_matches_scipy(xs.tolist(), ys.tolist())
 
     def test_numpy_float64_inputs(self):
-        # memo keys and values can be numpy scalars (from the linspace grids)
+        # a general helper: it converts its nodes, so numpy scalars give scipy's cubic too
         rng = np.random.default_rng(4)
         xs = sorted_nodes(rng, 14)
         ys = np.sin(xs) + 0.1 * xs
