@@ -1,25 +1,18 @@
-"""Photon-number allocation across modes (water-filling).
+"""Photon-number allocation across groups of equal modes (water-filling).
 
-Splits a total photon budget n * nbar over n modes so that the sum of
+Splits a budget of nbar photons per mode over groups of modes that share a
+value function, as the +s/-s normal-mode pairs do, so that the sum of
 per-mode values is maximal.  For concave nondecreasing value functions the
-optimum equalizes marginal values; we find the Lagrange multiplier by
-bisection.  If the sampled marginals are found to be non-monotone, or all
-vanish at zero, the allocator returns the even split and flags it; the
-caller, which knows which modes share a value function, handles
-non-concavity.
-
-Entries of ``fns`` that are one object (by identity, not by equality), such
-as the modes of one normal-mode group, are screened and inverted once per
-bisection step, and each distinct function's marginal is memoized by probe
-point for the call.  Sums still run over the entries in order, so the
-result is bit for bit that of evaluating every entry.
+optimum equalizes marginal values (Cover & Thomas, ch. 9); we find the
+Lagrange multiplier by bisection on weighted ``math.fsum`` totals.  If the
+sampled marginals are non-monotone, or all vanish at zero, the allocator
+returns the even split and flags it; the caller handles non-concavity.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import numbers
 
 __all__ = ["AllocationError", "allocate_photons"]
 
@@ -84,85 +77,64 @@ def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, max(fc, fd)
 
 
-def allocate_photons(fns, nbar: float, *, return_info: bool = False):
-    """Allocate the photon budget n * nbar across the n = len(fns) modes.
+def allocate_photons(fns, weights, nbar: float):
+    """Water-fill the budget sum(weights) * nbar; returns (alloc, info).
 
-    Parameters
-    ----------
-    fns : sequence of callables
-        ``fns[i](x)`` is the value of spending x photons on mode i.
-        Functions must be defined on [0, n * nbar], should be
-        nondecreasing, and must return the same value for the same x.
-        Entries that are one object, by identity and not by equality, are
-        evaluated once per step; equal but distinct callables are each
-        evaluated.
-    nbar : float
-        Photon budget per mode.
-    return_info : bool
-        When set, also return a dict with the multiplier and a ``fallback``
-        flag (True when the concavity screen failed or every marginal is 0
-        at the origin; the allocation is then the even split).
-
-    Returns
-    -------
-    numpy.ndarray of shape (n,) summing to n * nbar.
+    ``fns[g](x)`` is the value of spending x photons on one mode of group g:
+    defined on [0, budget], nondecreasing, and the same for the same x.
+    ``weights[g]``, a positive integer, counts group g's modes.  ``alloc[g]``
+    is the photon number of each mode of group g, a builtin float; the
+    weighted sum of ``alloc`` is the budget.  ``info`` holds the multiplier
+    ``mu`` and a ``fallback`` flag, True when the concavity screen failed or
+    every marginal is 0 at the origin; the allocation is then the even split.
     """
     fns = list(fns)
-    n = len(fns)
-    if n < 1:
+    weights = list(weights)
+    if not fns:
         raise AllocationError("need at least one value function")
+    if len(weights) != len(fns):
+        raise AllocationError(f"got {len(weights)} weights for {len(fns)} value functions")
+    if any(isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1 for w in weights):
+        raise AllocationError(f"weights must be positive integers, got {weights!r}")
     if not (math.isfinite(nbar) and nbar >= 0.0):
         raise AllocationError(f"photon budget must be finite and >= 0, got nbar={nbar}")
 
-    budget = n * float(nbar)  # an integer nbar would make the allocation an int array
+    n = int(sum(weights))  # a numpy integer would make the budget a numpy float
+    budget = n * float(nbar)
     info = {"fallback": False, "mu": 0.0}
     if budget <= 0.0:
-        x = np.zeros(n)
-        return (x, info) if return_info else x
+        return [0.0] * len(fns), info
 
     h = max(1e-7 * budget, 1e-9)
-    ids = [id(fn) for fn in fns]  # an id, not a hash: unhashable callables work
-    marginals = {i: _memoized_marginal(fn, budget, h) for i, fn in dict(zip(ids, fns)).items()}
+    marginals = [_memoized_marginal(fn, budget, h) for fn in fns]
 
-    # concavity screen on a coarse grid
-    concave = True
-    for marginal in marginals.values():
+    def rises(marginal):  # the concavity screen, on a coarse grid
         probes = [marginal(budget * frac) for frac in (0.05, 0.3, 0.55, 0.8, 0.98)]
-        for left, right in zip(probes, probes[1:]):
-            if right > left + 1e-6 * (1.0 + abs(left)):
-                concave = False
-                break
-        if not concave:
-            break
+        return any(right > left + 1e-6 * (1.0 + abs(left)) for left, right in zip(probes, probes[1:]))
 
-    mu_hi = max(marginal(0.0) for marginal in marginals.values())
-
-    if concave and mu_hi > 0.0:
-        mu_lo = 0.0
-        # bisection keeps total(mu_lo) >= budget >= total(mu_hi)
-        while mu_hi - mu_lo > 1e-10 * (1.0 + mu_hi):
-            mid = 0.5 * (mu_lo + mu_hi)
-            xs = {i: _x_at_marginal(m, mid, budget, 1e-12 * budget) for i, m in marginals.items()}
-            tot = sum(xs[i] for i in ids)
-            if tot >= budget:
-                mu_lo = mid
-            else:
-                mu_hi = mid
-        info["mu"] = mu_lo
-        xs = {i: _x_at_marginal(m, mu_lo, budget, 1e-13 * budget) for i, m in marginals.items()}
-        x = np.array([xs[i] for i in ids])
-        tot = float(x.sum())
-        if tot > budget and tot > 0.0:
-            x *= budget / tot
-        elif tot < budget:
-            # marginals vanished before the budget ran out; the surplus is
-            # value-neutral, spread it evenly
-            x += (budget - tot) / n
-        result = x
-    else:
+    mu_hi = max(marginal(0.0) for marginal in marginals)
+    if any(rises(marginal) for marginal in marginals) or not mu_hi > 0.0:
         info["fallback"] = True
-        result = np.full(n, float(nbar))
+        return [float(nbar)] * len(fns), info
 
-    if return_info:
-        return result, info
-    return result
+    def total(xs):
+        return math.fsum(w * x for w, x in zip(weights, xs))
+
+    mu_lo = 0.0
+    # bisection keeps total(mu_lo) >= budget >= total(mu_hi)
+    while mu_hi - mu_lo > 1e-10 * (1.0 + mu_hi):
+        mid = 0.5 * (mu_lo + mu_hi)
+        if total([_x_at_marginal(m, mid, budget, 1e-12 * budget) for m in marginals]) >= budget:
+            mu_lo = mid
+        else:
+            mu_hi = mid
+    info["mu"] = mu_lo
+    xs = [_x_at_marginal(m, mu_lo, budget, 1e-13 * budget) for m in marginals]
+    tot = total(xs)
+    if tot > budget:
+        xs = [x * (budget / tot) for x in xs]
+    elif tot < budget:
+        # marginals vanished before the budget ran out; the surplus is
+        # value-neutral, spread it evenly
+        xs = [x + (budget - tot) / n for x in xs]
+    return xs, info

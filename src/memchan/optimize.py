@@ -7,19 +7,21 @@ allocates the photon budget across the decoupled modes, and an inner
 derivative-free coordinate descent (golden section line searches) optimizes
 each mode's encoding at fixed photon number.  Modes come in +s/-s pairs with
 identical value functions, so the per-mode value of photons is solved once
-per pair on a node grid, bridged by a monotone cubic, water-filled, and
-re-solved exactly at the returned allocation; three refinement rounds keep
-adding nodes near the optimum.  The closed form's squeezing and the
-infinite-squeezing encoding seed the Holevo descent, which searches pure
-seeds only; the J and I descents also start from the nearest earlier solve.
-Where a group's value function is not concave (the allocator fell back, or
-the value lies under its tangent from the origin), the group's photons are
-also tried on k of its w modes, and a better split is returned unconverged.
+per pair on a node grid, bridged by a monotone cubic, water-filled over the
+groups with their mode counts as weights, and re-solved exactly at the
+returned allocation; three refinement rounds keep adding nodes near the
+optimum.  The closed form's squeezing and the infinite-squeezing encoding
+seed the Holevo descent, which searches pure seeds only; the J and I
+descents also start from the nearest earlier solve.  Where a group's value
+function is not concave (the allocator fell back, or the value lies under
+its tangent from the origin), the group's photons are also tried on k of
+its w modes, and a better split is returned unconverged.
 
-The allocations, candidates and Newton refine are lists of builtin floats,
-summed with ``math.fsum``: memo keys come from Python's correctly rounded
-``round``, and no BLAS kernel picks a summation order here (``math``'s
-functions still come from the platform's C library).
+This module and the allocator use no numpy: the allocations, candidates
+and Newton refine are lists of builtin floats, summed with ``math.fsum``,
+so memo keys come from Python's correctly rounded ``round``, and no BLAS
+kernel picks a summation order here (``math``'s functions still come from
+the platform's C library).
 
 The coordinate ascent skips a line search whose inputs, the other
 coordinates and the interval, are bit for bit those of that coordinate's
@@ -43,8 +45,6 @@ import bisect
 import math
 import struct
 from dataclasses import dataclass
-
-import numpy as np
 
 from .allocation import _golden_max, allocate_photons
 from .analytic import classical_lower_from_modes, delta_term
@@ -262,7 +262,7 @@ def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, ear
         return value(on_ridge(r))
 
     # coarse (t, r) grid, all photons thermal, and the nearest solve in earlier
-    r_grid = np.linspace(-rmax, rmax, 11).tolist()
+    r_grid = [-rmax + k * (2.0 * rmax / 10) for k in range(10)] + [rmax]  # np.linspace's 11 points
     starts = [[(k / 8) ** 1.5 * nj, r] for k in range(9) for r in r_grid]
     starts.append([nj, 0.0])
     if earlier:
@@ -280,8 +280,8 @@ def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, ear
             break
         lo, hi = max(x[1] - 0.7, -rmax), min(x[1] + 0.7, rmax)
         if i == 0:  # widen the first slide to the best of a ridge grid
-            r0 = max(np.linspace(-rmax, rmax, 25).tolist(), key=ridge)
             step = 2.0 * rmax / 24
+            r0 = max([-rmax + k * step for k in range(24)] + [rmax], key=ridge)
             lo2, hi2 = max(r0 - step, -rmax), min(r0 + step, rmax)
             lo, hi = min(lo, lo2), max(hi, hi2)
         r_b, v_b = _golden_max(ridge, lo, hi, 1e-11 * (1.0 + hi - lo))
@@ -538,8 +538,6 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
     budget = n * nbar
     solvers = [_GroupSolver(mode, indices, eta, inner, marginal) for mode, indices in _cluster_modes(modes)]
     weights = [len(solver.indices) for solver in solvers]
-    group_idx = {j: gi for gi, solver in enumerate(solvers) for j in solver.indices}
-    firsts = [solver.indices[0] for solver in solvers]
 
     # solve() rounds photon numbers to 1e-10, so a smaller budget only idles
     if round(budget, 10) <= 0.0:
@@ -567,19 +565,14 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
             xs = sorted(solver.memo)
             ys = [solver.memo[x][0] for x in xs]
             cubics.append(_FastCubic(xs, ys))
-        fns = [cubics[group_idx[j]] for j in range(n)]
-        alloc, info = allocate_photons(fns, nbar, return_info=True)
+        alloc, info = allocate_photons(cubics, weights, nbar)
         fallback = fallback or info["fallback"]
-        # the modes of a group share one cubic, so they get equal photons
-        alloc = alloc.tolist()
-        candidates.append([alloc[j] for j in firsts])
-        exact_total(candidates[-1])  # populate nodes at the proposed optimum
+        candidates.append(alloc)
+        exact_total(alloc)  # populate nodes at the proposed optimum
 
     # polish the best allocation so far with exact envelope marginals
     seed_alloc = max(candidates, key=exact_total)
-    start = [math.fsum([y] * len(solver.indices)) / len(solver.indices)
-             for solver, y in zip(solvers, seed_alloc)]
-    candidates.append(_exact_refine(solvers, weights, budget, start))
+    candidates.append(_exact_refine(solvers, weights, budget, seed_alloc))
 
     best_alloc = max(candidates, key=exact_total)
     best_total = exact_total(best_alloc)

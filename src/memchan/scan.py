@@ -240,6 +240,8 @@ def emit_figure_data(figure_id: str, out_dir=".", *, s_steps: int = 31, fmt: str
     and additionally gets a separability-boundary file with
     (s, T_boundary) pairs.
     """
+    if fmt not in ("csv", "json"):  # before any scan runs or the directory is made
+        raise ValueError(f"unknown format {fmt!r}; expected csv or json")
     specs = figure_specs(figure_id, s_steps=s_steps, jobs=jobs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

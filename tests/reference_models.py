@@ -7,7 +7,7 @@ covariance with its numeric PPT eigenvalue (``TwoModeCov``,
 against which the closed forms of ``memchan.entanglement`` are checked;
 full-spectrum Gaussian entropies, dense per-mode rates, a brute-force
 grid oracle for n <= 2 on its own kernels, the water-filling allocator
-as it was before it shared work between entries (``allocate_photons_per_entry``),
+over a per-mode list, each entry evaluated separately (``allocate_photons_per_entry``),
 the coordinate ascent as it was before it skipped repeated line searches
 (``coordinate_ascent_every_search``), 60-digit mpmath forms of g, g' and the per-mode Holevo information, and a
 per-mode Holevo search that leaves the seed's thermal part free.
@@ -493,11 +493,12 @@ def _x_at_fd_marginal(fn, mu: float, budget: float, h: float, x_tol: float) -> f
 
 
 def allocate_photons_per_entry(fns, nbar: float, *, return_info: bool = False):
-    """``memchan.allocation.allocate_photons`` evaluating each entry separately.
+    """``memchan.allocation.allocate_photons`` with one entry per mode, each evaluated separately.
 
     The same water-filling, screen and even-split fallback for a positive
-    budget, with no sharing between entries and no memo: every entry's
-    marginal is recomputed at every probe.
+    budget, over ``len(fns)`` modes of weight 1, with no memo: every
+    entry's marginal is recomputed at every probe, and the totals are
+    numpy's and Python's sums over the entries in order.
     """
     fns = list(fns)
     n = len(fns)

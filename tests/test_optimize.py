@@ -617,6 +617,31 @@ class TestBuiltinFloats:
         assert seen and set(seen) == {float}
 
 
+class TestGroupedAllocation:
+    # C has a valid closed form at this point and runs no allocation
+    @pytest.mark.parametrize("fn", OPTIMIZERS[1:3], ids=lambda fn: fn.__name__)
+    def test_one_value_function_per_group(self, monkeypatch, fn):
+        # n = 10 at s = 1 has five +s/-s pairs: each round water-fills one
+        # cubic per pair, weighted by the pair's two modes
+        calls = []
+        allocate = optimize.allocate_photons
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return allocate(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "allocate_photons", recording)
+        cfg = ChannelConfig(n=10, eta=0.9, s=1.0, temp=1.0, nbar=8.0)
+        fn(cfg)
+        assert len(calls) == 3
+        for args, kwargs in calls:
+            assert not kwargs and len(args) == 3
+            fns, weights, nbar = args
+            assert len(fns) == len(weights) == 5
+            assert weights == [2] * 5 and sum(weights) == cfg.n
+            assert nbar == cfg.nbar
+
+
 # large budgets at n = 32 (16 groups), where a BLAS dot product in the Newton
 # refine made C_E differ by up to 2.4e-7 between OpenBLAS kernels
 KERNEL_POINTS = [(32, 0.6, -7.0, 100.0, 1e6), (32, 0.93, -7.0, 0.3, 2e5),

@@ -223,6 +223,16 @@ class TestFigures:
         with pytest.raises(ValueError):
             figure_specs("7a")
 
+    def test_unknown_format_rejected_before_any_scan(self, tmp_path, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before checking the format")
+
+        monkeypatch.setattr(memchan.scan, "run_scan", no_scan)
+        out_dir = tmp_path / "never-made"
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            emit_figure_data("6", out_dir, s_steps=7, fmt="xml")
+        assert not out_dir.exists()
+
 
 class TestCli:
     def test_scan_to_stdout(self, capsys):
