@@ -38,8 +38,7 @@ class PerModeOptimum:
     """Optimal per-mode encoding behind an analytic bound.
 
     ``n_opt`` is the photon allocation, (t, r) the seed squeezed thermal
-    state, (c_q, c_p) the classical modulation variances (zero for the upper
-    bound, which constrains only the output entropy).
+    state, (c_q, c_p) the classical modulation variances.
     """
 
     n_opt: float
@@ -73,15 +72,6 @@ def _m_from_modes(modes: list[GlobalEnvMode]) -> float:
     return (temp + 0.5) * mean_cosh - 0.5
 
 
-def _edge_bound(count: int, eta: float, nbar: float, clear: PerModeOptimum) -> AnalyticBound | None:
-    """The bound at eta = 0 (no rate) and eta = 1 (g(nbar), ``clear`` per mode); None between."""
-    if eta <= 0.0:
-        return AnalyticBound(0.0, True, (PerModeOptimum(nbar, 0.0, 0.0, 0.0, 0.0),) * count)
-    if eta >= 1.0:
-        return AnalyticBound(g_entropy(nbar), True, (clear,) * count)
-    return None
-
-
 def _water_level(modes: list[GlobalEnvMode], eta: float, nbar: float):
     """The water level (M, k, n_j) of both classical bounds.
 
@@ -96,9 +86,10 @@ def _water_level(modes: list[GlobalEnvMode], eta: float, nbar: float):
 
 def classical_lower_from_modes(modes: list[GlobalEnvMode], eta: float, nbar: float) -> AnalyticBound:
     """Achievable Holevo rate of the matched squeezed encoding, given env modes."""
-    edge = _edge_bound(len(modes), eta, nbar, PerModeOptimum(nbar, 0.0, 0.0, nbar, nbar))
-    if edge is not None:
-        return edge
+    if eta <= 0.0:  # no rate
+        return AnalyticBound(0.0, True, (PerModeOptimum(nbar, 0.0, 0.0, 0.0, 0.0),) * len(modes))
+    if eta >= 1.0:  # coherent modulation of nbar photons per mode
+        return AnalyticBound(g_entropy(nbar), True, (PerModeOptimum(nbar, 0.0, 0.0, nbar, nbar),) * len(modes))
     big_m, k, n_opts = _water_level(modes, eta, nbar)
     value = g_entropy(eta * nbar + (1.0 - eta) * big_m) - g_entropy((1.0 - eta) * modes[0].temp)
     per_mode = []
@@ -114,26 +105,20 @@ def classical_lower_from_modes(modes: list[GlobalEnvMode], eta: float, nbar: flo
 
 
 def classical_upper_bound(cfg: ChannelConfig) -> AnalyticBound:
-    """Upper bound g(eta*nbar + (1-eta)*M) with its validity flag."""
+    """Upper bound g(eta*nbar + (1-eta)*M) with its validity flag; ``per_mode`` is empty.
+
+    Valid where every water-filled n_j >= 0 and (n_j + 1/2)^2 - (k sinh s_j)^2
+    >= 1/4, so that a squeezed thermal seed of n_j photons reaches the bound.
+    """
+    if cfg.eta <= 0.0:
+        return AnalyticBound(0.0, True, ())
+    if cfg.eta >= 1.0:
+        return AnalyticBound(g_entropy(cfg.nbar), True, ())
     modes = env_global_modes(cfg)
-    edge = _edge_bound(cfg.n, cfg.eta, cfg.nbar, PerModeOptimum(cfg.nbar, cfg.nbar, 0.0, 0.0, 0.0))
-    if edge is not None:
-        return edge
     big_m, k, n_opts = _water_level(modes, cfg.eta, cfg.nbar)
-    value = g_entropy(cfg.eta * cfg.nbar + (1.0 - cfg.eta) * big_m)
-    per_mode = []
-    valid = True
-    for mode, n_opt in zip(modes, n_opts):
-        xi = k * math.sinh(mode.s)
-        disc = (n_opt + 0.5) ** 2 - xi**2
-        if n_opt < 0.0 or disc < 0.25:
-            valid = False
-            t_opt = r_opt = math.nan
-        else:
-            t_opt = math.sqrt(disc) - 0.5
-            r_opt = math.log((n_opt + 0.5 - xi) / (t_opt + 0.5))
-        per_mode.append(PerModeOptimum(n_opt, t_opt, r_opt, 0.0, 0.0))
-    return AnalyticBound(value, valid, tuple(per_mode))
+    valid = all(n_opt >= 0.0 and (n_opt + 0.5) ** 2 - (k * math.sinh(mode.s)) ** 2 >= 0.25
+                for mode, n_opt in zip(modes, n_opts))
+    return AnalyticBound(g_entropy(cfg.eta * cfg.nbar + (1.0 - cfg.eta) * big_m), valid, ())
 
 
 def classical_lower_analytic(cfg: ChannelConfig) -> AnalyticBound:

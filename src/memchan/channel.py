@@ -105,10 +105,6 @@ class OmegaSpectrum:
     lambdas: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.lambdas)
-
 
 @functools.lru_cache(maxsize=MAX_MODES)
 def omega_spectrum(n: int) -> OmegaSpectrum:
@@ -139,18 +135,17 @@ class GlobalEnvMode:
     s: float
     temp: float
 
-    def variances(self) -> tuple[float, float]:
-        """The q and p variances (temp + 1/2) e^{+s} and (temp + 1/2) e^{-s}."""
-        return self._variances
-
     @functools.cached_property
-    def _variances(self) -> tuple[float, float]:
-        # computed on first use, so constructing a mode never overflows
+    def variances(self) -> tuple[float, float]:
+        """The q and p variances (temp + 1/2) e^{+s} and (temp + 1/2) e^{-s}.
+
+        Computed on first access, so constructing a mode never overflows.
+        """
         v = self.temp + 0.5
         return v * math.exp(self.s), v * math.exp(-self.s)
 
     def covariance(self) -> np.ndarray:
-        return np.diag(self.variances())
+        return np.diag(self.variances)
 
 
 def env_global_modes(cfg: ChannelConfig) -> list[GlobalEnvMode]:

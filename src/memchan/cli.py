@@ -72,9 +72,8 @@ def _run_scan(args) -> int:
         s_min=args.s_min,
         s_max=args.s_max,
         s_steps=args.s_steps,
-        jobs=args.jobs,
     )
-    rows = run_scan(spec, progress=sys.stderr)
+    rows = run_scan(spec, jobs=args.jobs, progress=sys.stderr)
     if args.out == "-":
         sys.stdout.write(format_rows(rows, args.format))
     else:

@@ -17,7 +17,7 @@ every quantity so optimizer stationarity can be verified independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .channel import GlobalEnvMode
 from .gaussian import g_entropy, g_prime
@@ -44,38 +44,29 @@ class EncodingParams:
     """Gaussian encoding across the decoupled modes.
 
     Per-mode squeezed thermal seeds (t, r) and classical modulation
-    variances (c_q, c_p); ``n_j`` records each mode's mean photon number and
-    must satisfy the energy identity within 1e-8.
+    variances (c_q, c_p).  ``n_j``, each mode's mean photon number, is
+    derived from them by :func:`mode_photon_number`.
     """
 
     t: tuple[float, ...]
     r: tuple[float, ...]
     c_q: tuple[float, ...]
     c_p: tuple[float, ...]
-    n_j: tuple[float, ...]
+    n_j: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        lens = {len(self.t), len(self.r), len(self.c_q), len(self.c_p), len(self.n_j)}
-        if len(lens) != 1:
+        if len({len(self.t), len(self.r), len(self.c_q), len(self.c_p)}) != 1:
             raise ValueError("per-mode parameter lists must share one length")
-        # NaN fails every ordered comparison below, so finiteness is checked first
+        for name in ("t", "r", "c_q", "c_p"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "n_j", tuple(map(mode_photon_number, self.t, self.r, self.c_q, self.c_p)))
+        # NaN fails every ordered comparison below, so finiteness is checked
+        # first; (t + 1/2) cosh r can overflow at finite t and r
         if not all(math.isfinite(v) for v in (*self.t, *self.r, *self.c_q, *self.c_p, *self.n_j)):
             raise ValueError("t, r, c_q, c_p and n_j must be finite")
         for j in range(len(self.t)):
             if self.t[j] < -1e-12 or self.c_q[j] < -1e-12 or self.c_p[j] < -1e-12:
                 raise ValueError(f"mode {j + 1}: t, c_q, c_p must be >= 0")
-            expect = mode_photon_number(self.t[j], self.r[j], self.c_q[j], self.c_p[j])
-            if abs(expect - self.n_j[j]) > 1e-8 * (1.0 + abs(expect)):
-                raise ValueError(
-                    f"mode {j + 1}: photon number {self.n_j[j]} breaks the energy identity "
-                    f"(expected {expect})"
-                )
-
-    @classmethod
-    def from_free(cls, t, r, c_q, c_p) -> "EncodingParams":
-        """Build params with photon numbers filled in from the identity."""
-        n_j = tuple(mode_photon_number(*vals) for vals in zip(t, r, c_q, c_p))
-        return cls(tuple(t), tuple(r), tuple(c_q), tuple(c_p), n_j)
 
     @property
     def n_modes(self) -> int:
@@ -86,7 +77,7 @@ class EncodingParams:
 
 
 def _outputs(t, r, c_q, c_p, mode: GlobalEnvMode, eta):
-    env_q, env_p = mode.variances()
+    env_q, env_p = mode.variances
     oq = eta * (t + 0.5) * math.exp(r) + (1.0 - eta) * env_q
     op = eta * (t + 0.5) * math.exp(-r) + (1.0 - eta) * env_p
     return oq, op, oq + eta * c_q, op + eta * c_p
@@ -134,7 +125,7 @@ def chi_mode_gradient(
 def _coherent_pieces(t, r, mode: GlobalEnvMode, eta):
     a = (t + 0.5) * math.exp(r)
     b = (t + 0.5) * math.exp(-r)
-    env_q, env_p = mode.variances()
+    env_q, env_p = mode.variances
     alpha = eta * a + (1.0 - eta) * env_q
     beta = eta * b + (1.0 - eta) * env_p
     det_out = alpha * beta
@@ -163,7 +154,7 @@ def coherent_information(t: float, r: float, mode: GlobalEnvMode, eta: float) ->
     # is the inner solves' kernel, and tests hold the two forms equal
     a = (t + 0.5) * math.exp(r)
     b = (t + 0.5) * math.exp(-r)
-    env_q, env_p = mode.variances()
+    env_q, env_p = mode.variances
     det_out = (eta * a + (1.0 - eta) * env_q) * (eta * b + (1.0 - eta) * env_p)
     i2 = det_out + (1.0 - 2.0 * eta) * a * b + 0.5 * eta
     det_tau = ((1.0 - eta) * env_q * b + 0.25 * eta) * ((1.0 - eta) * env_p * a + 0.25 * eta)

@@ -102,7 +102,7 @@ _IDLE = (0.0, 0.0, 0.0, 0.0)  # (t, r, c_q, c_p) of a mode that gets no photons
 
 def _result(value: float, param_list, converged=True, iterations=0, kkt=0.0) -> OptResult:
     """OptResult of a per-use value and per-mode (t, r, c_q, c_p); a closed form keeps the defaults."""
-    return OptResult(value, EncodingParams.from_free(*zip(*param_list)), converged, iterations, kkt)
+    return OptResult(value, EncodingParams(*zip(*param_list)), converged, iterations, kkt)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,6 @@ class ScanSpec:
     etas: tuple[float, ...]
     temps: tuple[float, ...]
     s_values: tuple[float, ...]
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.quantity not in QUANTITIES:
@@ -95,9 +94,6 @@ class ScanSpec:
             for value in grid:
                 ChannelConfig(**{"n": self.n, "eta": 1.0, "s": 0.0, "nbar": self.nbar, field: value})
             object.__setattr__(self, name, grid)
-        object.__setattr__(self, "jobs", _as_int("jobs", self.jobs))
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
     @classmethod
     def from_ranges(
@@ -110,7 +106,6 @@ class ScanSpec:
         s_min: float,
         s_max: float,
         s_steps: int,
-        jobs: int = 1,
     ) -> "ScanSpec":
         s_steps = _as_int("s_steps", s_steps)
         if s_steps < 1:
@@ -122,7 +117,6 @@ class ScanSpec:
             etas=tuple(np.atleast_1d(etas).astype(float)),
             temps=tuple(np.atleast_1d(temps).astype(float)),
             s_values=tuple(np.linspace(s_min, s_max, s_steps)),
-            jobs=jobs,
         )
 
 
@@ -132,12 +126,21 @@ def _eval_task(task):
     return dict(zip(COLUMNS, (n, eta, s, temp, nbar, quantity, float(value), bool(valid), bool(converged))))
 
 
-def run_scan(spec: ScanSpec, progress=None) -> list[dict]:
+def _worker_count(jobs) -> int:
+    """``jobs`` as a builtin int >= 1; anything else raises ValueError."""
+    jobs = _as_int("jobs", jobs)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    return jobs
+
+
+def run_scan(spec: ScanSpec, jobs: int = 1, progress=None) -> list[dict]:
     """Evaluate the scan grid; rows ordered eta-major, then T, then s.
 
-    ``progress`` is an optional stream for tick lines (e.g. sys.stderr);
-    output rows are independent of the parallelism degree.
+    ``jobs`` worker processes (1 runs in this process) give the same rows;
+    ``progress`` is an optional stream for tick lines (e.g. sys.stderr).
     """
+    jobs = _worker_count(jobs)
     tasks = [
         (spec.quantity, spec.n, eta, s, temp, spec.nbar)
         for eta in spec.etas
@@ -147,18 +150,18 @@ def run_scan(spec: ScanSpec, progress=None) -> list[dict]:
     total = len(tasks)
     tick = max(1, total // 10)
     rows = []
-    if spec.jobs == 1:
+    if jobs == 1:
         mapped = map(_eval_task, tasks)
     else:
-        pool = ProcessPoolExecutor(max_workers=spec.jobs)
-        mapped = pool.map(_eval_task, tasks, chunksize=max(1, total // (4 * spec.jobs)))
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        mapped = pool.map(_eval_task, tasks, chunksize=max(1, total // (4 * jobs)))
     try:
         for i, row in enumerate(mapped, start=1):
             rows.append(row)
             if progress is not None and (i % tick == 0 or i == total):
                 print(f"scan {spec.quantity}: {i}/{total} points", file=progress)
     finally:
-        if spec.jobs > 1:
+        if jobs > 1:
             pool.shutdown()
     return rows
 
@@ -217,7 +220,7 @@ _FIGURES = {
 FIGURE_IDS = tuple(_FIGURES)
 
 
-def figure_specs(figure_id: str, s_steps: int = 31, jobs: int = 1) -> list[ScanSpec]:
+def figure_specs(figure_id: str, s_steps: int = 31) -> list[ScanSpec]:
     """Scan specs backing one figure panel (N=8 throughout)."""
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
@@ -226,7 +229,7 @@ def figure_specs(figure_id: str, s_steps: int = 31, jobs: int = 1) -> list[ScanS
         temps = np.linspace(0.0, 6.0, _as_int("s_steps", s_steps))
     return [
         ScanSpec.from_ranges(q, n=n, nbar=8.0, etas=etas, temps=temps, s_min=0.0, s_max=3.0,
-                             s_steps=s_steps, jobs=jobs)
+                             s_steps=s_steps)
         for q in quantities
     ]
 
@@ -240,14 +243,15 @@ def emit_figure_data(figure_id: str, out_dir=".", *, s_steps: int = 31, fmt: str
     and additionally gets a separability-boundary file with
     (s, T_boundary) pairs.
     """
-    if fmt not in ("csv", "json"):  # before any scan runs or the directory is made
+    if fmt not in ("csv", "json"):  # inputs are checked before any scan runs or the directory is made
         raise ValueError(f"unknown format {fmt!r}; expected csv or json")
-    specs = figure_specs(figure_id, s_steps=s_steps, jobs=jobs)
+    jobs = _worker_count(jobs)
+    specs = figure_specs(figure_id, s_steps=s_steps)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for spec in specs:
-        rows.extend(run_scan(spec, progress=progress))
+        rows.extend(run_scan(spec, jobs=jobs, progress=progress))
     paths = [write_rows(rows, out_dir / f"fig{figure_id}.{fmt}", fmt)]
     if figure_id == "6":
         brows = [{"s": float(s), "T_boundary": float(tb), "quantity": "separability-boundary"}

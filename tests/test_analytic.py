@@ -119,6 +119,21 @@ class TestClassicalBounds:
                 upper = classical_upper_bound(cfg)
                 assert (not lower.valid) or upper.valid
 
+    @pytest.mark.parametrize("n, eta, s, temp, value_hex, valid", [
+        # upper bound valid, lower bound not
+        (2, 0.5, 2.0, 1.0, "0x1.10ddcbf687693p+2", True),
+        # every n_j = 8, but (n_j + 1/2)^2 - (k sinh s_j)^2 < 1/4
+        (2, 0.1, 0.5, 5.0, "0x1.0817c2dbeb5b0p+2", False),
+        # the outer n_j < 0; there |n_j + 1/2| < k |sinh s_j|, so a negative
+        # n_j breaks the discriminant condition too
+        (10, 0.1, 3.0, 0.0, "0x1.85bb532660505p+2", False),
+        (3, 0.0, 1.0, 1.0, "0x0.0p+0", True),
+        (3, 1.0, 1.0, 1.0, "0x1.21e07604ed456p+2", True),  # g(8)
+    ])
+    def test_upper_bound_value_and_flag_are_pinned(self, n, eta, s, temp, value_hex, valid):
+        bound = classical_upper_bound(ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=8.0))
+        assert (bound.value.hex(), bound.valid, bound.per_mode) == (value_hex, valid, ())
+
     def test_lower_bound_monotone_in_squeezing(self):
         for eta in (0.3, 0.6, 0.9):
             vals = [

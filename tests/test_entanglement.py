@@ -35,7 +35,7 @@ BOUNDARY_S25 = 36002449668.192936262  # (e^25 - 1) / 2
 
 class TestReducedEntropy:
     def test_matches_dense_marginal_entropies(self):
-        seed = EncodingParams.from_free(
+        seed = EncodingParams(
             [0.3, 0.0, 0.1, 0.7, 0.0], [0.4, -0.2, 0.0, 0.9, 1.3], [0.0] * 5, [0.0] * 5
         )
         local = seed_local_covariance(seed)
@@ -46,12 +46,12 @@ class TestReducedEntropy:
 
     def test_product_seed_has_zero_entanglement_entropy(self):
         # vacuum seeds stay product states in any orthogonal basis
-        seed = EncodingParams.from_free([0.0] * 4, [0.0] * 4, [0.0] * 4, [0.0] * 4)
+        seed = EncodingParams([0.0] * 4, [0.0] * 4, [0.0] * 4, [0.0] * 4)
         assert mean_reduced_entropy(seed) == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_seed_entropy_survives_rotation(self):
         # equal thermal occupation commutes with the basis change
-        seed = EncodingParams.from_free([0.6] * 4, [0.0] * 4, [0.0] * 4, [0.0] * 4)
+        seed = EncodingParams([0.6] * 4, [0.0] * 4, [0.0] * 4, [0.0] * 4)
         assert mean_reduced_entropy(seed) == pytest.approx(g_entropy(0.6), abs=1e-12)
 
     def test_optimal_memoryless_seed_is_product(self):

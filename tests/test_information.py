@@ -1,5 +1,6 @@
 """Per-mode rate formulas cross-checked against dense covariance computations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -122,7 +123,7 @@ class TestHolevo:
 
     def test_total_is_sum_of_modes(self):
         modes = [GlobalEnvMode(1, 0.7, 0.1), GlobalEnvMode(2, -0.7, 0.1), GlobalEnvMode(3, 0.0, 0.1)]
-        params = EncodingParams.from_free(
+        params = EncodingParams(
             [0.4, 0.2, 1.0], [0.1, -0.3, 0.0], [1.0, 0.5, 2.0], [0.3, 0.8, 2.0]
         )
         total = holevo_chi(params, modes, 0.85)
@@ -186,12 +187,12 @@ class TestCoherentInformation:
             want = composed(t, r, mode, eta)
             assert coherent_information(t, r, mode, eta).hex() == want.hex(), (t, r, s, temp, eta)
             fresh = ((temp + 0.5) * math.exp(s), (temp + 0.5) * math.exp(-s))
-            assert mode.variances() == mode.variances() == fresh
+            assert mode.variances == mode.variances == fresh
 
     def test_mode_variances_are_computed_on_use(self):
         mode = GlobalEnvMode(1, 800.0, 0.0)  # constructs: nothing is evaluated yet
         with pytest.raises(OverflowError):
-            mode.variances()
+            mode.variances
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(24)
@@ -279,31 +280,30 @@ class TestEncodingParams:
             (math.cosh(1.0) - 1.0) / 2.0, rel=1e-12
         )
 
-    def test_from_free_builds_consistent_budget(self):
-        params = EncodingParams.from_free([0.5, 1.0], [0.2, -0.4], [1.0, 0.0], [0.0, 2.0])
+    def test_photon_numbers_are_derived(self):
+        params = EncodingParams([0.5, 1.0], [0.2, -0.4], [1.0, 0.0], [0.0, 2.0])
         assert params.n_modes == 2
-        for j in range(2):
-            want = mode_photon_number(
-                params.t[j], params.r[j], params.c_q[j], params.c_p[j]
-            )
-            assert params.n_j[j] == pytest.approx(want, abs=1e-12)
+        assert params.t == (0.5, 1.0) and params.c_p == (0.0, 2.0)  # stored as tuples
+        assert params.n_j == tuple(map(mode_photon_number, params.t, params.r, params.c_q, params.c_p))
         assert params.mean_photons() == pytest.approx(np.mean(params.n_j), abs=1e-12)
-
-    def test_rejects_inconsistent_budget(self):
-        with pytest.raises(ValueError):
+        assert dataclasses.asdict(params)["n_j"] == params.n_j
+        moved = dataclasses.replace(params, c_q=(3.0, 0.0))
+        assert moved.n_j == (mode_photon_number(0.5, 0.2, 3.0, 0.0), params.n_j[1])
+        with pytest.raises(TypeError):  # a photon number is not an input
             EncodingParams(t=(0.5,), r=(0.0,), c_q=(0.0,), c_p=(0.0,), n_j=(3.0,))
 
-    def test_rejects_nan_entries(self):
-        # NaN passes the sign and energy-identity comparisons
+    def test_rejects_non_finite_entries(self):
+        # NaN passes the sign comparisons
         with pytest.raises(ValueError):
-            EncodingParams.from_free([math.nan], [0.0], [0.0], [0.0])
+            EncodingParams([math.nan], [0.0], [0.0], [0.0])
+        # finite inputs whose photon number (t + 1/2) cosh r overflows
         with pytest.raises(ValueError):
-            EncodingParams(t=(1.0,), r=(0.0,), c_q=(0.0,), c_p=(0.0,), n_j=(math.nan,))
+            EncodingParams([1e300], [700.0], [0.0], [0.0])
 
     def test_rejects_negative_thermal_parameter(self):
         with pytest.raises(ValueError):
-            EncodingParams.from_free([-0.2, 0.1, 0.2], [0.5, -0.5, 0.0], [0.0] * 3, [0.0] * 3)
+            EncodingParams([-0.2, 0.1, 0.2], [0.5, -0.5, 0.0], [0.0] * 3, [0.0] * 3)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            EncodingParams.from_free([0.5], [0.0, 0.0], [0.0], [0.0])
+            EncodingParams([0.5], [0.0, 0.0], [0.0], [0.0])

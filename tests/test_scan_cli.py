@@ -24,7 +24,7 @@ from memchan.scan import (
 )
 
 
-def small_spec(quantity="classical-lower", jobs=1):
+def small_spec(quantity="classical-lower"):
     return ScanSpec.from_ranges(
         quantity=quantity,
         n=4,
@@ -34,7 +34,6 @@ def small_spec(quantity="classical-lower", jobs=1):
         s_min=0.0,
         s_max=1.0,
         s_steps=3,
-        jobs=jobs,
     )
 
 
@@ -87,9 +86,10 @@ class TestScanSpec:
     def test_rejects_non_integer_counts(self):
         # a float or bool count would otherwise fail mid-run in the pool or in np.linspace
         grids = {"etas": (0.9,), "temps": (0.0,)}
+        one = ScanSpec(quantity="quantum", n=4, nbar=8.0, s_values=(0.0,), **grids)
         for bad in (
-            lambda: ScanSpec(quantity="quantum", n=4, nbar=8.0, s_values=(0.0,), jobs=2.0, **grids),
-            lambda: ScanSpec(quantity="quantum", n=4, nbar=8.0, s_values=(0.0,), jobs=True, **grids),
+            lambda: run_scan(one, jobs=2.0),
+            lambda: run_scan(one, jobs=True),
             lambda: ScanSpec.from_ranges("quantum", 4, 8.0, s_min=0.0, s_max=1.0, s_steps=2.0, **grids),
             lambda: ScanSpec.from_ranges("quantum", 4, 8.0, s_min=0.0, s_max=1.0, s_steps=True, **grids),
             lambda: figure_specs("6", s_steps=2.0),
@@ -99,8 +99,7 @@ class TestScanSpec:
                 bad()
 
     def test_integer_counts_are_stored_as_int(self):
-        spec = ScanSpec.from_ranges("quantum", 4, 8.0, (0.9,), (0.0,), 0.0, 1.0, np.int64(2), jobs=np.int64(2))
-        assert type(spec.jobs) is int and spec.jobs == 2
+        spec = ScanSpec.from_ranges("quantum", 4, 8.0, (0.9,), (0.0,), 0.0, 1.0, np.int64(2))
         assert spec.s_values == (0.0, 1.0)
 
     def test_separability_requires_two_modes(self):
@@ -127,9 +126,13 @@ class TestRunScan:
         assert all(set(COLUMNS) <= set(row) for row in rows)
 
     def test_parallel_matches_serial(self):
-        serial = run_scan(small_spec(jobs=1))
-        parallel = run_scan(small_spec(jobs=2))
+        serial = run_scan(small_spec(), jobs=1)
+        parallel = run_scan(small_spec(), jobs=np.int64(2))  # numpy integers count as integers
         assert serial == parallel
+
+    def test_rejects_fewer_than_one_job(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_scan(small_spec(), jobs=0)
 
     def test_rows_see_a_wrapper_set_on_the_module(self, monkeypatch):
         # the benchmark's tracer wraps these names; a table of function
@@ -233,6 +236,17 @@ class TestFigures:
             emit_figure_data("6", out_dir, s_steps=7, fmt="xml")
         assert not out_dir.exists()
 
+    def test_bad_jobs_rejected_before_any_scan(self, tmp_path, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before checking jobs")
+
+        monkeypatch.setattr(memchan.scan, "run_scan", no_scan)
+        out_dir = tmp_path / "never-made"
+        for jobs in (0, True):
+            with pytest.raises(ValueError, match="jobs"):
+                emit_figure_data("6", out_dir, s_steps=7, jobs=jobs)
+            assert not out_dir.exists()
+
 
 class TestCli:
     def test_scan_to_stdout(self, capsys):
@@ -326,6 +340,13 @@ class TestCli:
         code = main(["figure", "3a", "--s-steps", "0", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_figure_with_no_jobs_exits_2_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "d"
+        code = main(["figure", "6", "--jobs", "0", "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "error: jobs must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_figure_subcommand(self, tmp_path):
         code = main(["figure", "5", "--s-steps", "2", "--out-dir", str(tmp_path)])
