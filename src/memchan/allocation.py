@@ -4,15 +4,27 @@ Splits a budget of nbar photons per mode over groups of modes that share a
 value function, as the +s/-s normal-mode pairs do, so that the sum of
 per-mode values is maximal.  For concave nondecreasing value functions the
 optimum equalizes marginal values (Cover & Thomas, ch. 9); we find the
-Lagrange multiplier by bisection on weighted ``math.fsum`` totals.  If the
+Lagrange multiplier mu by bisection on weighted ``math.fsum`` totals.  If the
 sampled marginals are non-monotone, or all vanish at zero, the allocator
 returns the even split and flags it; the caller handles non-concavity.
+
+Group g's photon number x_g(mu) is the end of a dyadic bisection of
+[0, budget], but a step of the mu bisection only asks whether
+fsum(w_g x_g(mu)) >= budget.  So the walks run lazily: each keeps a bracket
+[lo_g, hi_g] on its path, and before every new probe the step is answered
+yes if fsum(w_g lo_g) >= budget and no if fsum(w_g hi_g) < budget.  That is
+exact: the full walk's x_g lies in every bracket on its path, w x rounds
+monotonically and fsum rounds correctly, so the bracket totals bound the
+full total and each answer, every mu and the allocation are the ones the
+full walks give.  Only undecided steps, and the final allocation, walk to
+full depth.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 
 __all__ = ["AllocationError", "allocate_photons"]
 
@@ -41,20 +53,27 @@ def _memoized_marginal(fn, budget: float, h: float):
     return marginal
 
 
-def _x_at_marginal(marginal, mu: float, budget: float, x_tol: float) -> float:
-    """Largest x in [0, budget] with marginal(x) >= mu (marginal decreasing)."""
-    if marginal(0.0) <= mu:
-        return 0.0
-    if marginal(budget) >= mu:
-        return budget
-    lo, hi = 0.0, budget
+def _walk(marginal, probed: set, mu: float, budget: float, x_tol: float):
+    """Largest x in [0, budget] with marginal(x) >= mu (marginal decreasing).
+
+    A generator over the dyadic bisection of [0, budget] down to x_tol: before
+    each probe of a node not yet in ``probed`` it adds the node and yields a
+    bracket (lo, hi) that holds the answer x; it ends by yielding (x, x).
+    The node 0.0 is probed without a yield: the caller has probed it before.
+    """
+    lo, hi = 0.0, (0.0 if marginal(0.0) <= mu else budget)
+    x = hi  # the first node is budget; bisection midpoints follow
     while hi - lo > x_tol:
-        mid = 0.5 * (lo + hi)
-        if marginal(mid) >= mu:
-            lo = mid
+        if x not in probed:
+            yield lo, hi
+            probed.add(x)
+        if marginal(x) >= mu:
+            lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = x
+        x = 0.5 * (lo + hi)
+    # at lo == hi (0, or budget, where lo + hi can overflow) the answer is hi
+    yield (x, x) if lo < hi else (hi, hi)
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -118,18 +137,37 @@ def allocate_photons(fns, weights, nbar: float):
         return [float(nbar)] * len(fns), info
 
     def total(xs):
-        return math.fsum(w * x for w, x in zip(weights, xs))
+        return math.fsum(map(operator.mul, weights, xs))
+
+    probed = [set() for _ in fns]
+
+    def reaches(mu):  # total(x(mu)) >= budget, decided from the walks' brackets
+        walks = [_walk(m, seen, mu, budget, 1e-12 * budget) for m, seen in zip(marginals, probed)]
+        los, his = map(list, zip(*[next(walk) for walk in walks]))
+        while True:
+            if total(los) >= budget:
+                return True
+            if total(his) < budget:
+                return False
+            # deepen each open bracket by one new probe
+            for g, walk in enumerate(walks):
+                if his[g] > los[g]:
+                    los[g], his[g] = next(walk)
 
     mu_lo = 0.0
     # bisection keeps total(mu_lo) >= budget >= total(mu_hi)
     while mu_hi - mu_lo > 1e-10 * (1.0 + mu_hi):
         mid = 0.5 * (mu_lo + mu_hi)
-        if total([_x_at_marginal(m, mid, budget, 1e-12 * budget) for m in marginals]) >= budget:
+        if reaches(mid):
             mu_lo = mid
         else:
             mu_hi = mid
     info["mu"] = mu_lo
-    xs = [_x_at_marginal(m, mu_lo, budget, 1e-13 * budget) for m in marginals]
+    xs = []
+    for m, seen in zip(marginals, probed):
+        for x, _ in _walk(m, seen, mu_lo, budget, 1e-13 * budget):
+            pass
+        xs.append(x)
     tot = total(xs)
     if tot > budget:
         xs = [x * (budget / tot) for x in xs]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 # allocate_photons stays bound for the benchmark tracer until ROADMAP item 12
 from .allocation import _golden_max, allocate_photons  # noqa: F401
 from .channel import ChannelConfig, GlobalEnvMode, env_global_modes, local_effective_temperature
-from .gaussian import g_entropy
+from .gaussian import _log1p_inv, g_entropy
 
 __all__ = [
     "PerModeOptimum",
@@ -116,8 +116,13 @@ def classical_upper_bound(cfg: ChannelConfig) -> AnalyticBound:
         return AnalyticBound(g_entropy(cfg.nbar), True, ())
     modes = env_global_modes(cfg)
     big_m, k, n_opts = _water_level(modes, cfg.eta, cfg.nbar)
-    valid = all(n_opt >= 0.0 and (n_opt + 0.5) ** 2 - (k * math.sinh(mode.s)) ** 2 >= 0.25
-                for mode, n_opt in zip(modes, n_opts))
+    try:
+        valid = all(n_opt >= 0.0 and (n_opt + 0.5) ** 2 - (k * math.sinh(mode.s)) ** 2 >= 0.25
+                    for mode, n_opt in zip(modes, n_opts))
+    except OverflowError:
+        # a square past the float range needs k |sinh s_j| or n_j above 1e154: then
+        # this mode fails, or another has n_j < 0, as the n_j sum to n * nbar
+        valid = False
     return AnalyticBound(g_entropy(cfg.eta * cfg.nbar + (1.0 - cfg.eta) * big_m), valid, ())
 
 
@@ -183,7 +188,7 @@ def _thermal_gain(floor: float, rise: float) -> float:
     """
     if rise <= 0.0:
         return 0.0
-    gain = math.log1p(rise / (floor + 1.0)) + rise * math.log1p(1.0 / (floor + rise))
+    gain = math.log1p(rise / (floor + 1.0)) + rise * _log1p_inv(floor + rise)
     if floor > 0.0:
         gain -= floor * math.log1p(rise / (floor * (floor + rise + 1.0)))
     return gain

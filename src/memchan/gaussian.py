@@ -40,18 +40,31 @@ def g_entropy(x: float) -> float:
     cancellation.  Arguments in [-1e-9, 0) are treated as roundoff and
     clamped to zero; anything more negative raises ``ValueError``.
     """
-    if x <= 0.0:
-        if x < -1e-9:
-            raise ValueError(f"mean excitation number must be >= 0, got {x}")
-        return 0.0
+    if x < 1e-300:  # also where 1/x overflows
+        if x <= 0.0:
+            if x < -1e-9:
+                raise ValueError(f"mean excitation number must be >= 0, got {x}")
+            return 0.0
+        return (x * _log1p_inv(x) + math.log1p(x)) / _LOG2
     return (x * math.log1p(1.0 / x) + math.log1p(x)) / _LOG2
 
 
 def g_prime(x: float) -> float:
     """Derivative of :func:`g_entropy`: log2(1 + 1/x).  Requires x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"g_prime needs x > 0, got {x}")
+    if x < 1e-300:  # also where 1/x overflows
+        if x <= 0.0:
+            raise ValueError(f"g_prime needs x > 0, got {x}")
+        return _log1p_inv(x) / _LOG2
     return math.log1p(1.0 / x) / _LOG2
+
+
+def _log1p_inv(x: float) -> float:
+    """log(1 + 1/x) for x > 0, as ``math.log1p(1.0 / x)`` wherever 1/x is finite.
+
+    Below about 5.56e-309 1/x overflows, and the equal log1p(x) - log(x) is used.
+    """
+    inv = 1.0 / x
+    return math.log1p(inv) if inv < math.inf else math.log1p(x) - math.log(x)
 
 
 def symplectic_form(m: int) -> np.ndarray:

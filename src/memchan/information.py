@@ -59,7 +59,11 @@ class EncodingParams:
             raise ValueError("per-mode parameter lists must share one length")
         for name in ("t", "r", "c_q", "c_p"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "n_j", tuple(map(mode_photon_number, self.t, self.r, self.c_q, self.c_p)))
+        try:
+            n_j = tuple(map(mode_photon_number, self.t, self.r, self.c_q, self.c_p))
+        except OverflowError:  # math.cosh raises above |r| ~ 710 rather than return inf
+            n_j = (math.inf,)
+        object.__setattr__(self, "n_j", n_j)
         # NaN fails every ordered comparison below, so finiteness is checked
         # first; (t + 1/2) cosh r can overflow at finite t and r
         if not all(math.isfinite(v) for v in (*self.t, *self.r, *self.c_q, *self.c_p, *self.n_j)):

@@ -10,7 +10,7 @@ from memchan.allocation import AllocationError, allocate_photons
 from memchan.gaussian import g_entropy, g_prime
 from memchan.optimize import _FastCubic
 
-from reference_models import allocate_photons_per_entry
+from reference_models import allocate_photons_full_walk, allocate_photons_per_entry
 
 
 def weighted_total(alloc, weights):
@@ -149,22 +149,29 @@ def _starved():
     return _FastCubic(xs, [2e-7 * math.tanh(x / 1e-7) for x in xs])
 
 
+ORACLE_CASES = ["shared", "equal-closures", "mixed", "uneven", "fallback", "clip-edges"]
+
+
+def _oracle_case(case):
+    """(fns, weights) of a named case."""
+    a, b = _cubic(0.9, 0.0), _cubic(0.8, 0.7)
+    return {
+        # one cubic per normal-mode group, as the optimizer passes them
+        "shared": ([a, b], [5, 5]),
+        "equal-closures": ([lambda x: g_entropy(0.9 * x + 0.3) for _ in range(6)], [1] * 6),
+        "mixed": ([a, b, lambda x: g_entropy(0.7 * x)], [3, 2, 1]),
+        "uneven": ([a, b], [1, 31]),
+        "fallback": ([_kink, g_entropy], [2, 2]),
+        "clip-edges": ([_starved(), a], [1, 1]),
+    }[case]
+
+
 class TestPerModeOracle:
     """Groups with weights give what the per-mode list of the same functions gives."""
 
-    @pytest.mark.parametrize("case", ["shared", "equal-closures", "mixed", "uneven", "fallback",
-                                      "clip-edges"])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_per_entry_oracle(self, case):
-        a, b = _cubic(0.9, 0.0), _cubic(0.8, 0.7)
-        fns, weights = {
-            # one cubic per normal-mode group, as the optimizer passes them
-            "shared": ([a, b], [5, 5]),
-            "equal-closures": ([lambda x: g_entropy(0.9 * x + 0.3) for _ in range(6)], [1] * 6),
-            "mixed": ([a, b, lambda x: g_entropy(0.7 * x)], [3, 2, 1]),
-            "uneven": ([a, b], [1, 31]),
-            "fallback": ([_kink, g_entropy], [2, 2]),
-            "clip-edges": ([_starved(), a], [1, 1]),
-        }[case]
+        fns, weights = _oracle_case(case)
         per_mode = [fn for fn, w in zip(fns, weights) for _ in range(w)]
         for nbar in (0.5, 3.0, 8.0):
             budget = sum(weights) * nbar
@@ -193,3 +200,89 @@ class TestPerModeOracle:
         assert 0.0 < alloc[0] < 1e-6
         assert any(0.0 < x < h for x, _, h in probes)
         assert any(x < budget <= x + h for x, budget, h in probes)
+
+
+def _random_case(rng):
+    """1 to 8 groups with weights in {1, 2, 5, 31} and nbar from 1e-5 to 1e6.
+
+    The value functions are PCHIP cubics on the optimizer's node grid, g
+    closures, convex kinks (which the concavity screen rejects) and tanh
+    functions that starve beside a steep one.
+    """
+    weights = [int(rng.choice([1, 2, 5, 31])) for _ in range(int(rng.integers(1, 9)))]
+    nbar = float(10.0 ** rng.uniform(-5.0, 6.0))
+    budget = sum(weights) * nbar
+    grid = sorted({0.0, budget, *(budget * (i / 12.0) ** 1.6 for i in range(1, 12)),
+                   *rng.uniform(0.0, budget, int(rng.integers(0, 7)))})
+    fns = []
+    for _ in weights:
+        eta, offset, scale = rng.uniform(0.05, 1.0), rng.choice([0.0, rng.uniform(0.0, 5.0)]), rng.choice([1.0, 1e-3])
+        kind = rng.choice(["cubic", "cubic", "cubic", "closure", "kink", "starved"])
+        if kind == "cubic":
+            fns.append(_FastCubic(grid, [scale * g_entropy(eta * x + offset) for x in grid]))
+        elif kind == "closure":
+            fns.append(lambda x, eta=eta, offset=offset: g_entropy(eta * x + offset))
+        elif kind == "kink":
+            fns.append(lambda x, c=rng.uniform(0.0, budget): max(0.0, x - c) ** 2)
+        else:
+            fns.append(lambda x, a=10.0 ** rng.uniform(-9.0, -5.0): 2.0 * a * math.tanh(x / a))
+    return fns, weights, nbar
+
+
+def _counted(fns):
+    """The functions wrapped to count their calls, and the list of counts."""
+    calls = [0] * len(fns)
+
+    def wrap(g, fn):
+        def counted(x):
+            calls[g] += 1
+            return fn(x)
+        return counted
+
+    return [wrap(g, fn) for g, fn in enumerate(fns)], calls
+
+
+class TestFullWalkOracle:
+    """Deciding each water-level step from brackets changes no bit of the result."""
+
+    @staticmethod
+    def _dump(result):
+        alloc, info = result
+        return [x.hex() for x in alloc], info["mu"].hex(), info["fallback"]
+
+    def test_random_inputs_match_bit_for_bit(self):
+        rng = np.random.default_rng(35)
+        for case in range(300):
+            fns, weights, nbar = _random_case(rng)
+            got = self._dump(allocate_photons(fns, weights, nbar))
+            assert got == self._dump(allocate_photons_full_walk(fns, weights, nbar)), case
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_named_cases_match_bit_for_bit(self, case):
+        fns, weights = _oracle_case(case)
+        for nbar in (1e-5, 0.5, 3.0, 8.0, 1e6):
+            got = self._dump(allocate_photons(fns, weights, nbar))
+            assert got == self._dump(allocate_photons_full_walk(fns, weights, nbar)), nbar
+
+    def test_extreme_budgets_match(self):
+        # subnormal budgets, and budgets where budget + budget or the totals overflow
+        fns = [lambda x: math.log1p(x / 1e300), lambda x: math.log1p(x / 3e300)]
+        for weights in ([1], [3], [1, 2]):
+            for nbar in (5e-324, 1e-310, 2e307, 5e307, 1.5e308):
+                got, want = (self._outcome(allocate, fns[:len(weights)], weights, nbar)
+                             for allocate in (allocate_photons, allocate_photons_full_walk))
+                assert got == want, (weights, nbar)
+
+    def _outcome(self, allocate, fns, weights, nbar):
+        try:
+            return self._dump(allocate(fns, weights, nbar))
+        except OverflowError as exc:
+            return repr(exc)
+
+    def test_probes_a_quarter_of_the_full_walk(self):
+        fns, weights = _oracle_case("shared")
+        counted, calls = _counted(fns)
+        allocate_photons(counted, weights, 8.0)
+        full_counted, full_calls = _counted(fns)
+        allocate_photons_full_walk(full_counted, weights, 8.0)
+        assert 4 * sum(calls) <= sum(full_calls), (calls, full_calls)

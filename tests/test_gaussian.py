@@ -32,6 +32,9 @@ getcontext().prec = 50
 G_OF_8 = 4.529325012980811266
 G_OF_7P2 = 4.386538332596274923
 
+# arguments around and below the ~5.56e-309 where 1/x overflows
+SUBNORMAL_XS = (5e-324, 1e-320, 1e-309, 5.5e-309, 6e-309)
+
 
 def g_reference(x):
     """Textbook form of g evaluated in 50-digit decimal arithmetic."""
@@ -81,6 +84,14 @@ class TestGEntropy:
         # digits to cancellation past x ~ 1e40
         assert worst_relative_error(g_entropy, g_entropy_mp) <= 1e-15
 
+    def test_subnormal_arguments_match_mpmath(self):
+        # below about 5.56e-309 the argument's reciprocal overflows; the values
+        # themselves may be subnormal, so they hold to one subnormal step
+        with mpmath.workdps(50):
+            for x in SUBNORMAL_XS:
+                want = g_entropy_mp(mpmath.mpf(x))
+                assert abs(g_entropy(x) - want) <= max(1e-15 * want, 2.0 ** -1074), x
+
     def test_roundoff_clamp_and_rejection(self):
         assert g_entropy(-1e-12) == 0.0
         with pytest.raises(ValueError):
@@ -103,6 +114,12 @@ class TestGPrime:
 
     def test_matches_mpmath_over_the_exponent_range(self):
         assert worst_relative_error(g_prime, g_prime_mp) <= 1e-15
+
+    def test_subnormal_arguments_match_mpmath(self):
+        with mpmath.workdps(50):
+            for x in SUBNORMAL_XS:
+                want = g_prime_mp(x)
+                assert abs(g_prime(x) - want) <= 1e-15 * want, x
 
     def test_matches_finite_difference(self):
         for x in (0.05, 0.9, 4.0, 30.0):

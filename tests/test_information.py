@@ -299,6 +299,9 @@ class TestEncodingParams:
         # finite inputs whose photon number (t + 1/2) cosh r overflows
         with pytest.raises(ValueError):
             EncodingParams([1e300], [700.0], [0.0], [0.0])
+        # a squeezing whose cosh overflows, which math.cosh raises for
+        with pytest.raises(ValueError, match="must be finite"):
+            EncodingParams([0.0], [800.0], [0.0], [0.0])
 
     def test_rejects_negative_thermal_parameter(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import bisect
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -284,6 +285,21 @@ class TestInputDomain:
                         res = fn(cfg)
                         value = res if isinstance(res, float) else res.value
                         assert math.isfinite(value) and value >= 0.0, (cfg, fn)
+
+    def test_subnormal_output_photons_give_finite_rates(self):
+        # eta * nbar = 1e-309 photons reach the output, below where 1/x overflows in g
+        cfg = ChannelConfig(n=2, eta=1e-300, s=0.0, temp=0.0, nbar=1e-9)
+        rates = (maximize_classical(cfg).value, classical_lower_analytic(cfg).value,
+                 classical_upper_bound(cfg).value, local_classical_lower(cfg))
+        assert all(math.isfinite(rate) and rate > 0.0 for rate in rates), rates
+
+    def test_upper_bound_corners_are_finite(self):
+        # at tiny eta, k = (1 - eta)/eta (T + 1/2) squares past the float range
+        corners = itertools.product((2, 3, 64), (1e-300, 1e-200, 1e-16, 0.5, 1.0 - 1e-16),
+                                    (60.0, -60.0, -1.0, 0.0), (0.0, 1e6), (0.0, 1e-9, 1e6))
+        for n, eta, s, temp, nbar in corners:
+            bound = classical_upper_bound(ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=nbar))
+            assert math.isfinite(bound.value) and type(bound.valid) is bool, (n, eta, s, temp, nbar)
 
     def test_budget_past_the_domain_is_rejected(self, capsys):
         # at N = 1e300 classical_upper_bound overflowed and the quantum optimizers raised mid-solve
