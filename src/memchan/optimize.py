@@ -9,13 +9,15 @@ each mode's encoding at fixed photon number.  Modes come in +s/-s pairs with
 identical value functions, so the per-mode value of photons is solved once
 per pair on a node grid, bridged by a monotone cubic, water-filled over the
 groups with their mode counts as weights, and re-solved exactly at the
-returned allocation; three refinement rounds keep adding nodes near the
-optimum.  The closed form's squeezing and the infinite-squeezing encoding
-seed the Holevo descent, which searches pure seeds only; the J and I
-descents also start from the nearest earlier solve.  Where a group's value
-function is not concave (the allocator fell back, or the value lies under
-its tangent from the origin), the group's photons are also tried on k of
-its w modes, and a better split is returned unconverged.
+returned allocation; up to three rounds add nodes near the optimum, and
+a round whose allocation adds no node is the last, as the next would see
+the same nodes and repeat it.  The closed form's squeezing and the
+infinite-squeezing encoding seed the Holevo descent, which searches pure
+seeds only; the J and I descents also start from the nearest earlier
+solve.  Where a group's value function is not concave (the allocator fell
+back, or the value lies under its tangent from the origin), the group's
+photons are also tried on k of its w modes, and a better split is
+returned unconverged.
 
 This module and the allocator use no numpy: the allocations, candidates
 and Newton refine are lists of builtin floats, summed with ``math.fsum``,
@@ -568,7 +570,10 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
         alloc, info = allocate_photons(cubics, weights, nbar)
         fallback = fallback or info["fallback"]
         candidates.append(alloc)
+        known = sum(len(solver.memo) for solver in solvers)
         exact_total(alloc)  # populate nodes at the proposed optimum
+        if sum(len(solver.memo) for solver in solvers) == known:
+            break  # a round is a pure function of the memos, so the next would repeat this one
 
     # polish the best allocation so far with exact envelope marginals
     seed_alloc = max(candidates, key=exact_total)

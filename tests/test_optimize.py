@@ -371,6 +371,28 @@ class TestQuantum:
             for fn in (maximize_quantum, maximize_quantum_local):
                 assert fn(cfg).value <= plob + 1e-9, (cfg, fn.__name__)
 
+    @staticmethod
+    def holevo_werner(eta, temp):
+        # the thermal-input coherent information of a thermal attenuator as
+        # the input energy grows (Holevo & Werner, PRA 63, 032312 (2001));
+        # squeezers around the attenuator move the energy, not the supremum
+        return max(math.log2(eta / (1.0 - eta)) - g_entropy(temp), 0.0)
+
+    def test_mode_solves_under_holevo_werner_limit(self):
+        for eta, temp, s_j, x in itertools.product((0.55, 0.7, 0.8, 0.9, 0.97), (0.0, 0.3, 1.0, 3.0),
+                                                   (0.0, 0.5, 2.0, 5.0), (0.1, 1.0, 8.0, 64.0)):
+            value = _j_inner(GlobalEnvMode(0, s_j, temp), eta, x)[0]
+            assert value <= self.holevo_werner(eta, temp) + 1e-12, (eta, temp, s_j, x)
+
+    def test_under_holevo_werner_limit(self):
+        rng = np.random.default_rng(15)
+        for _ in range(12):
+            temp = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 3.0))
+            cfg = ChannelConfig(n=int(rng.choice([2, 3, 5, 10])), eta=float(rng.uniform(0.5, 0.99)),
+                                s=float(rng.uniform(-3.0, 3.0)), temp=temp,
+                                nbar=float(rng.uniform(0.5, 10.0)))
+            assert maximize_quantum(cfg).value <= self.holevo_werner(cfg.eta, temp) + 1e-12, cfg
+
 
 class TestEntAssisted:
     def test_memoryless_point(self):
@@ -592,6 +614,34 @@ SOLVED_PINS = {
 }
 
 
+# the same for points where the allocation rounds stop early: one group at
+# s = 0 (one round; two at N = 1e6, where round 1 adds a node) and five groups
+# at a zero quantum rate (one round)
+EARLY_STOP_PINS = {
+    (maximize_quantum, (10, 0.9, 0.0, 1.0, 8.0)): (
+        ["0x1.09365d3707649p+0", True, 15, "0x0.0p+0"], "aaec97b5ac1c6296"),
+    (maximize_ent_assisted, (10, 0.9, 0.0, 1.0, 8.0)): (
+        ["0x1.642e0d52af1e8p+2", True, 15, "0x0.0p+0"], "aaec97b5ac1c6296"),
+    (maximize_quantum_local, (10, 0.9, 0.0, 1.0, 8.0)): (
+        ["0x1.09365d370764dp+0", True, 15, "0x0.0p+0"], "aaec97b5ac1c6296"),
+    (maximize_ent_assisted_local, (10, 0.9, 0.0, 1.0, 8.0)): (
+        ["0x1.642e0d52af1e9p+2", True, 15, "0x0.0p+0"], "aaec97b5ac1c6296"),
+    (maximize_ent_assisted, (10, 0.9, 0.0, 1.0, 1e6)): (
+        ["0x1.68b4fe93fca33p+4", True, 17, "0x0.0p+0"], "558ee86a2d64ca7f"),
+    (maximize_quantum, (10, 0.796, -1.94, 3.18, 8.0)): (
+        ["0x1.999999999999ap-54", False, 80, "0x0.0p+0"], "bf32d294383a3ccf"),
+}
+
+
+class TestEarlyStopPins:
+    @pytest.mark.parametrize("fn, point", list(EARLY_STOP_PINS),
+                             ids=lambda v: v.__name__ if callable(v) else "-".join(map(str, v)))
+    def test_bit_for_bit(self, fn, point):
+        head, encoding = hex_dump(fn(ChannelConfig(*point)))
+        digest = hashlib.sha256(json.dumps(encoding).encode()).hexdigest()[:16]
+        assert (head, digest) == EARLY_STOP_PINS[fn, point]
+
+
 class TestSolvedPins:
     @pytest.mark.parametrize("fn", OPTIMIZERS[:3], ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("n, s", list(SOLVED_PINS), ids=["n10", "n32", "n2"])
@@ -654,6 +704,31 @@ class TestGroupedAllocation:
             assert len(fns) == len(weights) == 5
             assert weights == [2] * 5 and sum(weights) == cfg.n
             assert nbar == cfg.nbar
+
+    # a round whose allocation adds no node ends the rounds: the next would
+    # see the same nodes and return the same allocation
+    @pytest.mark.parametrize("fn, point, rounds", [
+        (maximize_quantum, (10, 0.9, 0.0, 1.0, 8.0), 1),
+        (maximize_ent_assisted, (10, 0.9, 0.0, 1.0, 8.0), 1),
+        (maximize_quantum_local, (10, 0.9, 0.0, 1.0, 8.0), 1),
+        (maximize_ent_assisted_local, (10, 0.9, 0.0, 1.0, 8.0), 1),
+        (maximize_ent_assisted, (10, 0.9, 0.0, 1.0, 1e6), 2),
+        (maximize_quantum, (10, 0.796, -1.94, 3.18, 8.0), 1),
+        (maximize_quantum, (10, 0.9, 1.0, 1.0, 8.0), 3),
+        (maximize_ent_assisted, (10, 0.9, 1.0, 1.0, 8.0), 3),
+    ], ids=lambda v: v.__name__ if callable(v) else None)
+    def test_rounds_stop_once_no_node_is_added(self, monkeypatch, fn, point, rounds):
+        calls = []  # each call's node count per group cubic
+        allocate = optimize.allocate_photons
+
+        def recording(fns, weights, nbar):
+            calls.append(tuple(len(f.breaks) for f in fns))
+            return allocate(fns, weights, nbar)
+
+        monkeypatch.setattr(optimize, "allocate_photons", recording)
+        fn(ChannelConfig(*point))
+        assert len(calls) == rounds
+        assert len(set(calls)) == len(calls)  # every round sees new nodes
 
 
 # large budgets at n = 32 (16 groups), where a BLAS dot product in the Newton
