@@ -3,10 +3,12 @@
 Splits a budget of nbar photons per mode over groups of modes that share a
 value function, as the +s/-s normal-mode pairs do, so that the sum of
 per-mode values is maximal.  For concave nondecreasing value functions the
-optimum equalizes marginal values (Cover & Thomas, ch. 9); we find the
-Lagrange multiplier mu by bisection on weighted ``math.fsum`` totals.  If the
-sampled marginals are non-monotone, or all vanish at zero, the allocator
-returns the even split and flags it; the caller handles non-concavity.
+optimum equalizes marginal values (Cover & Thomas, ch. 9), so one group takes
+the whole budget.  For more groups we find the Lagrange multiplier mu by
+bisection on weighted ``math.fsum`` totals, and raise AllocationError where
+those totals overflow.  If the sampled marginals are non-monotone, or all
+vanish at zero, the allocator returns the even split and flags it; the
+caller handles non-concavity.
 
 Group g's photon number x_g(mu) is the end of a dyadic bisection of
 [0, budget], but a step of the mu bisection only asks whether
@@ -103,9 +105,11 @@ def allocate_photons(fns, weights, nbar: float):
     defined on [0, budget], nondecreasing, and the same for the same x.
     ``weights[g]``, a positive integer, counts group g's modes.  ``alloc[g]``
     is the photon number of each mode of group g, a builtin float; the
-    weighted sum of ``alloc`` is the budget.  ``info`` holds the multiplier
-    ``mu`` and a ``fallback`` flag, True when the concavity screen failed or
-    every marginal is 0 at the origin; the allocation is then the even split.
+    weighted sum of ``alloc`` is the budget, exactly for one group, which
+    gets nbar.  ``info`` holds the multiplier ``mu`` (for one group, its
+    marginal at nbar) and a ``fallback`` flag, True when the concavity screen
+    failed or every marginal is 0 at the origin; the allocation is then the
+    even split.  Weighted totals that overflow raise AllocationError.
     """
     fns = list(fns)
     weights = list(weights)
@@ -135,9 +139,18 @@ def allocate_photons(fns, weights, nbar: float):
     if any(rises(marginal) for marginal in marginals) or not mu_hi > 0.0:
         info["fallback"] = True
         return [float(nbar)] * len(fns), info
+    if len(fns) == 1:  # one group takes the whole budget
+        info["mu"] = marginals[0](float(nbar))
+        return [float(nbar)], info
 
     def total(xs):
-        return math.fsum(map(operator.mul, weights, xs))
+        try:
+            tot = math.fsum(map(operator.mul, weights, xs))
+        except OverflowError:  # fsum's partial sums overflowed
+            tot = math.inf
+        if tot < math.inf:
+            return tot
+        raise AllocationError(f"weighted photon totals overflow at nbar={nbar}")
 
     probed = [set() for _ in fns]
 

@@ -25,7 +25,7 @@ class TestBasicProperties:
         assert np.allclose(alloc, 3.0, atol=1e-6)
         assert math.fsum(alloc) == pytest.approx(15.0, abs=1e-9)
         alloc, _ = allocate_photons([lambda x: g_entropy(0.9 * x)], [5], 3.0)
-        assert alloc == [pytest.approx(3.0, abs=1e-12)]
+        assert alloc == [3.0]
 
     def test_budget_and_nonnegativity(self):
         fns = [
@@ -56,6 +56,7 @@ class TestBasicProperties:
             ([steep, lambda x: np.float64(g_entropy(0.8 * x))], [np.int64(2), 2], np.float64(8.0)),
             ([lambda x: max(0.0, x - 2.0) ** 2, g_entropy], [1, 2], 3.0),
             ([steep], [4], np.float64(0.0)),
+            ([steep], [np.int64(3)], np.float64(2.0)),  # one group takes the whole budget
             ([lambda x: 0.0] * 2, [1, 1], 1.0),  # every marginal 0 at the origin
         ]
         for fns, weights, nbar in cases:
@@ -243,7 +244,11 @@ def _counted(fns):
 
 
 class TestFullWalkOracle:
-    """Deciding each water-level step from brackets changes no bit of the result."""
+    """Deciding each water-level step from brackets changes no bit of the result.
+
+    One group that water-fills takes the whole budget without a search; the
+    full walk's bisection lands within an ulp of it.
+    """
 
     @staticmethod
     def _dump(result):
@@ -252,10 +257,38 @@ class TestFullWalkOracle:
 
     def test_random_inputs_match_bit_for_bit(self):
         rng = np.random.default_rng(35)
+        one_group = 0
         for case in range(300):
             fns, weights, nbar = _random_case(rng)
-            got = self._dump(allocate_photons(fns, weights, nbar))
-            assert got == self._dump(allocate_photons_full_walk(fns, weights, nbar)), case
+            got = allocate_photons(fns, weights, nbar)
+            want = allocate_photons_full_walk(fns, weights, nbar)
+            if len(weights) > 1 or want[1]["fallback"]:
+                assert self._dump(got) == self._dump(want), case
+                continue
+            one_group += 1
+            (x,), info = got
+            (want_x,), want_info = want
+            assert x == float(nbar) and weights[0] * x == sum(weights) * float(nbar), case
+            assert info["fallback"] is want_info["fallback"] is False, case
+            assert abs(want_x - nbar) <= math.ulp(nbar), case
+            assert abs(info["mu"] - want_info["mu"]) <= 1e-9 * (1.0 + abs(want_info["mu"])), case
+        assert one_group > 0
+
+    def test_one_group_runs_no_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(allocation, "_walk", walk)
+        rng = np.random.default_rng(35)
+        for case in range(300):
+            fns, weights, nbar = _random_case(rng)
+            if len(weights) == 1:
+                allocate_photons(fns, weights, nbar)
+        for weights in ([1], [2], [31]):
+            alloc, info = allocate_photons([_cubic(0.9, 0.0)], weights, 8.0)
+            assert alloc == [8.0] and not info["fallback"]
+        with pytest.raises(AssertionError, match="walked"):  # two groups do walk
+            allocate_photons(*_oracle_case("shared"), 8.0)
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_named_cases_match_bit_for_bit(self, case):
@@ -267,17 +300,24 @@ class TestFullWalkOracle:
     def test_extreme_budgets_match(self):
         # subnormal budgets, and budgets where budget + budget or the totals overflow
         fns = [lambda x: math.log1p(x / 1e300), lambda x: math.log1p(x / 3e300)]
-        for weights in ([1], [3], [1, 2]):
+        # the full walk raises OverflowError from fsum here, or returns [0.0, 0.0]
+        # at [1, 2] and N = 5e307, spending none of the budget
+        overflowing = {(1, 2): (2e307, 5e307), (1, 1): (5e307,)}
+        for weights in ([1], [3], [1, 2], [1, 1]):
             for nbar in (5e-324, 1e-310, 2e307, 5e307, 1.5e308):
-                got, want = (self._outcome(allocate, fns[:len(weights)], weights, nbar)
-                             for allocate in (allocate_photons, allocate_photons_full_walk))
-                assert got == want, (weights, nbar)
-
-    def _outcome(self, allocate, fns, weights, nbar):
-        try:
-            return self._dump(allocate(fns, weights, nbar))
-        except OverflowError as exc:
-            return repr(exc)
+                args = fns[:len(weights)], weights, nbar
+                if nbar in overflowing.get(tuple(weights), ()):
+                    with pytest.raises(AllocationError, match="overflow"):
+                        allocate_photons(*args)
+                elif len(weights) == 1:
+                    # the full walk returns [0.0] at [3] and N = 2e307 or 5e307
+                    alloc, info = allocate_photons(*args)
+                    assert alloc == [nbar], (weights, nbar)
+                    assert info["fallback"] == allocate_photons_full_walk(*args)[1]["fallback"]
+                else:
+                    got, want = (self._dump(allocate(*args))
+                                 for allocate in (allocate_photons, allocate_photons_full_walk))
+                    assert got == want, (weights, nbar)
 
     def test_probes_a_quarter_of_the_full_walk(self):
         fns, weights = _oracle_case("shared")

@@ -615,8 +615,8 @@ SOLVED_PINS = {
 
 
 # the same for points where the allocation rounds stop early: one group at
-# s = 0 (one round; two at N = 1e6, where round 1 adds a node) and five groups
-# at a zero quantum rate (one round)
+# s = 0, which takes the whole budget and stops after one round, and five
+# groups at a zero quantum rate (one round)
 EARLY_STOP_PINS = {
     (maximize_quantum, (10, 0.9, 0.0, 1.0, 8.0)): (
         ["0x1.09365d3707649p+0", True, 15, "0x0.0p+0"], "aaec97b5ac1c6296"),
@@ -627,7 +627,7 @@ EARLY_STOP_PINS = {
     (maximize_ent_assisted_local, (10, 0.9, 0.0, 1.0, 8.0)): (
         ["0x1.642e0d52af1e9p+2", True, 15, "0x0.0p+0"], "aaec97b5ac1c6296"),
     (maximize_ent_assisted, (10, 0.9, 0.0, 1.0, 1e6)): (
-        ["0x1.68b4fe93fca33p+4", True, 17, "0x0.0p+0"], "558ee86a2d64ca7f"),
+        ["0x1.68b4fe93fca33p+4", True, 16, "0x0.0p+0"], "558ee86a2d64ca7f"),
     (maximize_quantum, (10, 0.796, -1.94, 3.18, 8.0)): (
         ["0x1.999999999999ap-54", False, 80, "0x0.0p+0"], "bf32d294383a3ccf"),
 }
@@ -712,7 +712,7 @@ class TestGroupedAllocation:
         (maximize_ent_assisted, (10, 0.9, 0.0, 1.0, 8.0), 1),
         (maximize_quantum_local, (10, 0.9, 0.0, 1.0, 8.0), 1),
         (maximize_ent_assisted_local, (10, 0.9, 0.0, 1.0, 8.0), 1),
-        (maximize_ent_assisted, (10, 0.9, 0.0, 1.0, 1e6), 2),
+        (maximize_ent_assisted, (10, 0.9, 0.0, 1.0, 1e6), 1),
         (maximize_quantum, (10, 0.796, -1.94, 3.18, 8.0), 1),
         (maximize_quantum, (10, 0.9, 1.0, 1.0, 8.0), 3),
         (maximize_ent_assisted, (10, 0.9, 1.0, 1.0, 8.0), 3),
