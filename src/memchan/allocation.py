@@ -6,20 +6,20 @@ per-mode values is maximal.  For concave nondecreasing value functions the
 optimum equalizes marginal values (Cover & Thomas, ch. 9), so one group takes
 the whole budget.  For more groups we find the Lagrange multiplier mu by
 bisection on weighted ``math.fsum`` totals, and raise AllocationError where
-those totals overflow.  If the sampled marginals are non-monotone, or all
-vanish at zero, the allocator returns the even split and flags it; the
-caller handles non-concavity.
+the budget or those totals overflow.  If the sampled marginals are
+non-monotone, or all vanish at zero, the allocator returns the even split
+and flags it; the caller handles non-concavity.
 
 Group g's photon number x_g(mu) is the end of a dyadic bisection of
 [0, budget], but a step of the mu bisection only asks whether
 fsum(w_g x_g(mu)) >= budget.  So the walks run lazily: each keeps a bracket
-[lo_g, hi_g] on its path, and before every new probe the step is answered
-yes if fsum(w_g lo_g) >= budget and no if fsum(w_g hi_g) < budget.  That is
-exact: the full walk's x_g lies in every bracket on its path, w x rounds
-monotonically and fsum rounds correctly, so the bracket totals bound the
-full total and each answer, every mu and the allocation are the ones the
-full walks give.  Only undecided steps, and the final allocation, walk to
-full depth.
+[lo_g, hi_g] on its path, and before every node not yet in its group's memo
+of marginals the step is answered yes if fsum(w_g lo_g) >= budget and no if
+fsum(w_g hi_g) < budget.  That is exact: the full walk's x_g lies in every
+bracket on its path, w x rounds monotonically and fsum rounds correctly, so
+the bracket totals bound the full total and each answer, every mu and the
+allocation are the ones the full walks give.  Only undecided steps, and the
+final allocation, walk to full depth.
 """
 
 from __future__ import annotations
@@ -35,41 +35,35 @@ class AllocationError(RuntimeError):
     """Raised when no feasible allocation can be produced."""
 
 
-def _memoized_marginal(fn, budget: float, h: float):
-    """x -> finite-difference slope of fn over [x - h, x + h] clipped to [0, budget].
+class _Marginals(dict):
+    """Memo x -> slope of fn over [x - h, x + h] clipped to [0, budget]; its keys are the probed nodes."""
 
-    Each probe point x is evaluated once; the memo lives as long as the
-    returned function.
-    """
-    cache = {}
+    def __init__(self, fn, budget: float, h: float):
+        super().__init__()
+        self.fn, self.budget, self.h = fn, budget, h
 
-    def marginal(x: float) -> float:
-        value = cache.get(x)
-        if value is None:
-            # the same floats as max(x - h, 0.0) and min(x + h, budget), for fewer steps
-            lo = x - h if x > h else 0.0
-            hi = x + h if x + h < budget else budget
-            value = cache[x] = (fn(hi) - fn(lo)) / (hi - lo) if hi > lo else 0.0
+    def __missing__(self, x: float) -> float:
+        fn, budget, h = self.fn, self.budget, self.h
+        # the same floats as max(x - h, 0.0) and min(x + h, budget), for fewer steps
+        lo = x - h if x > h else 0.0
+        hi = x + h if x + h < budget else budget
+        value = self[x] = (fn(hi) - fn(lo)) / (hi - lo) if hi > lo else 0.0
         return value
 
-    return marginal
 
+def _walk(memo: _Marginals, mu: float, budget: float, x_tol: float):
+    """Largest x in [0, budget] with memo[x] >= mu (marginal decreasing).
 
-def _walk(marginal, probed: set, mu: float, budget: float, x_tol: float):
-    """Largest x in [0, budget] with marginal(x) >= mu (marginal decreasing).
-
-    A generator over the dyadic bisection of [0, budget] down to x_tol: before
-    each probe of a node not yet in ``probed`` it adds the node and yields a
-    bracket (lo, hi) that holds the answer x; it ends by yielding (x, x).
-    The node 0.0 is probed without a yield: the caller has probed it before.
+    A generator over the dyadic bisection of [0, budget] down to x_tol:
+    before each node not yet in the memo it yields a bracket (lo, hi) that
+    holds the answer x; it ends by yielding (x, x).
     """
-    lo, hi = 0.0, (0.0 if marginal(0.0) <= mu else budget)
+    lo, hi = 0.0, (0.0 if memo[0.0] <= mu else budget)
     x = hi  # the first node is budget; bisection midpoints follow
     while hi - lo > x_tol:
-        if x not in probed:
+        if x not in memo:
             yield lo, hi
-            probed.add(x)
-        if marginal(x) >= mu:
+        if memo[x] >= mu:
             lo = x
         else:
             hi = x
@@ -109,7 +103,7 @@ def allocate_photons(fns, weights, nbar: float):
     gets nbar.  ``info`` holds the multiplier ``mu`` (for one group, its
     marginal at nbar) and a ``fallback`` flag, True when the concavity screen
     failed or every marginal is 0 at the origin; the allocation is then the
-    even split.  Weighted totals that overflow raise AllocationError.
+    even split.  Overflowing budgets or weighted totals raise AllocationError.
     """
     fns = list(fns)
     weights = list(weights)
@@ -124,23 +118,25 @@ def allocate_photons(fns, weights, nbar: float):
 
     n = int(sum(weights))  # a numpy integer would make the budget a numpy float
     budget = n * float(nbar)
+    if budget == math.inf:
+        raise AllocationError(f"photon budget {n} * nbar overflows at nbar={nbar}")
     info = {"fallback": False, "mu": 0.0}
     if budget <= 0.0:
         return [0.0] * len(fns), info
 
     h = max(1e-7 * budget, 1e-9)
-    marginals = [_memoized_marginal(fn, budget, h) for fn in fns]
+    memos = [_Marginals(fn, budget, h) for fn in fns]
 
-    def rises(marginal):  # the concavity screen, on a coarse grid
-        probes = [marginal(budget * frac) for frac in (0.05, 0.3, 0.55, 0.8, 0.98)]
+    def rises(memo):  # the concavity screen, on a coarse grid
+        probes = [memo[budget * frac] for frac in (0.05, 0.3, 0.55, 0.8, 0.98)]
         return any(right > left + 1e-6 * (1.0 + abs(left)) for left, right in zip(probes, probes[1:]))
 
-    mu_hi = max(marginal(0.0) for marginal in marginals)
-    if any(rises(marginal) for marginal in marginals) or not mu_hi > 0.0:
+    mu_hi = max(memo[0.0] for memo in memos)
+    if any(rises(memo) for memo in memos) or not mu_hi > 0.0:
         info["fallback"] = True
         return [float(nbar)] * len(fns), info
     if len(fns) == 1:  # one group takes the whole budget
-        info["mu"] = marginals[0](float(nbar))
+        info["mu"] = memos[0][float(nbar)]
         return [float(nbar)], info
 
     def total(xs):
@@ -152,10 +148,8 @@ def allocate_photons(fns, weights, nbar: float):
             return tot
         raise AllocationError(f"weighted photon totals overflow at nbar={nbar}")
 
-    probed = [set() for _ in fns]
-
     def reaches(mu):  # total(x(mu)) >= budget, decided from the walks' brackets
-        walks = [_walk(m, seen, mu, budget, 1e-12 * budget) for m, seen in zip(marginals, probed)]
+        walks = [_walk(memo, mu, budget, 1e-12 * budget) for memo in memos]
         los, his = map(list, zip(*[next(walk) for walk in walks]))
         while True:
             if total(los) >= budget:
@@ -177,8 +171,8 @@ def allocate_photons(fns, weights, nbar: float):
             mu_hi = mid
     info["mu"] = mu_lo
     xs = []
-    for m, seen in zip(marginals, probed):
-        for x, _ in _walk(m, seen, mu_lo, budget, 1e-13 * budget):
+    for memo in memos:
+        for x, _ in _walk(memo, mu_lo, budget, 1e-13 * budget):
             pass
         xs.append(x)
     tot = total(xs)

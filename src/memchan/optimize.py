@@ -19,8 +19,8 @@ back, or the value lies under its tangent from the origin), the group's
 photons are also tried on k of its w modes, and a better split is
 returned unconverged.
 
-This module and the allocator use no numpy: the allocations, candidates
-and Newton refine are lists of builtin floats, summed with ``math.fsum``,
+This module and the allocator use no numpy: the allocations and the
+Newton refine are lists of builtin floats, summed with ``math.fsum``,
 so memo keys come from Python's correctly rounded ``round``, and no BLAS
 kernel picks a summation order here (``math``'s functions still come from
 the platform's C library).
@@ -176,10 +176,6 @@ def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
         ctot = max(2.0 * (cap - 0.5 * math.cosh(r)), 0.0)
         return f * ctot, (1.0 - f) * ctot
 
-    def value(x):
-        r, f = x
-        return chi_mode(0.0, r, *split(r, f), mode, eta)
-
     def balance_f(r):
         # modulation split that equalizes the two output quadratures
         ctot = 2.0 * (cap - 0.5 * math.cosh(r))
@@ -194,7 +190,7 @@ def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
     r_match = min(mode.s, r_top)  # the closed form's squeezing
     r_deep = min(math.log(2.0 * nj + 1.0), r_top)  # the infinite-squeezing encoding
     seeds = [(r_match, balance_f(r_match)), (r_deep, balance_f(r_deep))]
-    start = max(seeds, key=value)
+    start = max(seeds, key=lambda x: chi_mode(0.0, x[0], *split(*x), mode, eta))
 
     def bounds(i, x):
         return (-rmax0, rmax0) if i == 0 else (0.0, 1.0)
@@ -236,16 +232,13 @@ def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, ear
     cap = nj + 0.5
     rmax = math.acosh(2.0 * nj + 1.0) * (1.0 - 1e-12)
 
-    def value(x):
-        return kernel(x[0], x[1], mode, eta)
-
-    def guarded(x):
-        return value(x) if (x[0] + 0.5) * math.cosh(x[1]) <= cap else -math.inf
+    def t_ridge(r):  # the largest feasible t at r
+        return max(cap / math.cosh(r) - 0.5, 0.0)
 
     def bounds(i, x):
         # interval of t (i = 0) or r (i = 1) on (t + 1/2) cosh r <= cap, the other fixed
         if i == 0:
-            return 0.0, max(cap / math.cosh(x[1]) - 0.5, 0.0)
+            return 0.0, t_ridge(x[1])
         rm = math.acosh(max(cap / (x[0] + 0.5), 1.0))
         return -rm, rm
 
@@ -257,11 +250,8 @@ def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, ear
         t = x[0]
         return lambda r: kernel(t, r, mode, eta) if (t + 0.5) * math.cosh(r) <= cap else -math.inf
 
-    def on_ridge(r):
-        return [bounds(0, (0.0, r))[1], r]
-
     def ridge(r):
-        return value(on_ridge(r))
+        return kernel(t_ridge(r), r, mode, eta)
 
     # coarse (t, r) grid, all photons thermal, and the nearest solve in earlier
     r_grid = [-rmax + k * (2.0 * rmax / 10) for k in range(10)] + [rmax]  # np.linspace's 11 points
@@ -272,7 +262,9 @@ def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, ear
         t_w = min(max(t_w, 0.0), nj)
         lo, hi = bounds(1, (t_w, 0.0))
         starts.append([t_w, min(max(r_w, lo), hi)])
-    x, best = _coordinate_ascent(line, max(starts, key=guarded), bounds)
+    start = max(starts, key=lambda x: kernel(x[0], x[1], mode, eta)
+                if (x[0] + 0.5) * math.cosh(x[1]) <= cap else -math.inf)
+    x, best = _coordinate_ascent(line, start, bounds)
 
     # Axis-parallel moves stall against the energy constraint, where the
     # optimum usually sits; slide along the constraint curve explicitly.
@@ -289,8 +281,7 @@ def _seed_inner(kernel, thermal, mode: GlobalEnvMode, eta: float, nj: float, ear
         r_b, v_b = _golden_max(ridge, lo, hi, 1e-11 * (1.0 + hi - lo))
         if v_b <= best + 1e-14:
             break
-        x, best = on_ridge(r_b), v_b
-        x, best = _coordinate_ascent(line, x, bounds)
+        x, best = _coordinate_ascent(line, [t_ridge(r_b), r_b], bounds)
     if best <= 0.0:
         return 0.0, _IDLE
     return best, (x[0], x[1], 0.0, 0.0)
@@ -489,15 +480,14 @@ def _i_marginal(mode: GlobalEnvMode, eta: float, nj: float, out) -> float | None
 def _exact_refine(solvers, weights, budget, start):
     """Equalize exact marginals across groups by damped Newton water-filling.
 
-    ``start`` is a per-group allocation summing (with weights) to budget;
+    ``start`` is nonnegative and spends the positive budget up to roundoff;
     each round linearizes the marginal of every group around the current
     point and solves the resulting water-filling problem in closed form,
     clamping groups driven below zero.
     """
     m_count = len(solvers)
-    x = [max(v, 0.0) for v in start]
-    tot = math.fsum(w * v for w, v in zip(weights, x))
-    x = [v * (budget / tot) for v in x] if tot > 0 else [budget / math.fsum(weights)] * m_count
+    tot = math.fsum(w * v for w, v in zip(weights, start))
+    x = [v * (budget / tot) for v in start]
     for _ in range(4):
         marg, slope = [], []
         for solver, xi in zip(solvers, x):
@@ -546,9 +536,7 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
         return _result(0.0, [_IDLE] * n)
 
     # seed node grid, densest near zero where the value functions curve most
-    nodes = {0.0, budget, min(nbar, budget)}
-    for i in range(1, 12):
-        nodes.add(budget * (i / 12.0) ** 1.6)
+    nodes = {0.0, budget, nbar, *(budget * (i / 12.0) ** 1.6 for i in range(1, 12))}
     for solver in solvers:
         for x in sorted(nodes):
             solver.solve(x)
@@ -558,29 +546,28 @@ def _optimize_grouped(modes, eta, nbar, inner, marginal):
         return math.fsum(value for solver, y in zip(solvers, alloc)
                          for value in [solver.solve(y)[0]] * len(solver.indices))
 
-    candidates = [[nbar] * len(solvers)]
-
+    best_alloc = [nbar] * len(solvers)
+    best_total = exact_total(best_alloc)
     fallback = False
     for _ in range(3):
         cubics = []
         for solver in solvers:
             xs = sorted(solver.memo)
-            ys = [solver.memo[x][0] for x in xs]
-            cubics.append(_FastCubic(xs, ys))
+            cubics.append(_FastCubic(xs, [solver.memo[x][0] for x in xs]))
         alloc, info = allocate_photons(cubics, weights, nbar)
         fallback = fallback or info["fallback"]
-        candidates.append(alloc)
         known = sum(len(solver.memo) for solver in solvers)
-        exact_total(alloc)  # populate nodes at the proposed optimum
+        total = exact_total(alloc)  # populates nodes at the proposed optimum
+        if total > best_total:  # the first of equal totals stays
+            best_alloc, best_total = alloc, total
         if sum(len(solver.memo) for solver in solvers) == known:
             break  # a round is a pure function of the memos, so the next would repeat this one
 
     # polish the best allocation so far with exact envelope marginals
-    seed_alloc = max(candidates, key=exact_total)
-    candidates.append(_exact_refine(solvers, weights, budget, seed_alloc))
-
-    best_alloc = max(candidates, key=exact_total)
-    best_total = exact_total(best_alloc)
+    refined = _exact_refine(solvers, weights, budget, best_alloc)
+    total = exact_total(refined)
+    if total > best_total:
+        best_alloc, best_total = refined, total
 
     params = [None] * n
     for solver, y in zip(solvers, best_alloc):

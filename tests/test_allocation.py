@@ -185,18 +185,13 @@ class TestPerModeOracle:
     def test_clip_edges_are_probed(self, monkeypatch):
         # the "clip-edges" case above reaches both ends of the probe interval's clip
         probes = []
-        memoized = allocation._memoized_marginal
+        missing = allocation._Marginals.__missing__
 
-        def recording(fn, budget, h):
-            marginal = memoized(fn, budget, h)
+        def recording(memo, x):
+            probes.append((x, memo.budget, memo.h))
+            return missing(memo, x)
 
-            def probe(x):
-                probes.append((x, budget, h))
-                return marginal(x)
-
-            return probe
-
-        monkeypatch.setattr(allocation, "_memoized_marginal", recording)
+        monkeypatch.setattr(allocation._Marginals, "__missing__", recording)
         alloc, _ = allocate_photons([_starved(), _cubic(0.9, 0.0)], [1, 1], 3.0)
         assert 0.0 < alloc[0] < 1e-6
         assert any(0.0 < x < h for x, _, h in probes)
@@ -301,8 +296,9 @@ class TestFullWalkOracle:
         # subnormal budgets, and budgets where budget + budget or the totals overflow
         fns = [lambda x: math.log1p(x / 1e300), lambda x: math.log1p(x / 3e300)]
         # the full walk raises OverflowError from fsum here, or returns [0.0, 0.0]
-        # at [1, 2] and N = 5e307, spending none of the budget
-        overflowing = {(1, 2): (2e307, 5e307), (1, 1): (5e307,)}
+        # at [1, 2] and N = 5e307, spending none of the budget; at N = 1.5e308
+        # the budget itself is inf for every weights but [1]
+        overflowing = {(1, 2): (2e307, 5e307, 1.5e308), (1, 1): (5e307, 1.5e308), (3,): (1.5e308,)}
         for weights in ([1], [3], [1, 2], [1, 1]):
             for nbar in (5e-324, 1e-310, 2e307, 5e307, 1.5e308):
                 args = fns[:len(weights)], weights, nbar

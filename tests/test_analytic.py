@@ -182,6 +182,10 @@ class TestLocalRate:
         want = g_entropy(0.9 * 8.0 + 0.1 * 1.0) - g_entropy(0.1)
         assert local_classical_lower(cfg) == pytest.approx(want, abs=1e-9)
 
+    def test_exactly_zero_without_transmission_or_photons(self):
+        for eta, nbar in ((0.0, 8.0), (0.9, 0.0)):
+            assert local_classical_lower(ChannelConfig(n=4, eta=eta, s=1.0, temp=0.5, nbar=nbar)) == 0.0
+
     def test_water_level_is_exact(self):
         # the exact water level against a 50-digit bisection on the level, and
         # no worse than the finite-difference water-filling of each entry.  The
@@ -282,6 +286,10 @@ class TestAsymptotics:
         assert classical_lower_asymptotic(11, 8.0, 0.9, 0.0) == pytest.approx(
             ASYM_N11, abs=1e-13
         )
+        # at n = 1 the unsqueezed middle mode is alone and gets the whole budget
+        assert classical_lower_asymptotic(1, 0.5, 0.6, 2.0) == pytest.approx(
+            g_entropy(0.6 * 0.5 + 0.4 * 2.0) - g_entropy(0.4 * 2.0), abs=1e-12
+        )
 
     def test_quantum_limits(self):
         assert asymptotic_quantum(10, 8.0, 0.9, 0.0) == 0.0
@@ -289,11 +297,17 @@ class TestAsymptotics:
         assert asymptotic_quantum(11, 8.0, 0.9, 0.0) == pytest.approx(
             DELTA_88_09_0 / 11.0, abs=1e-12
         )
+        assert asymptotic_quantum(1, 0.5, 0.6, 2.0) == pytest.approx(
+            delta_term(0.5, 0.6, 2.0), abs=1e-12
+        )
 
     def test_ent_assisted_limits(self):
         assert asymptotic_ent_assisted(10, 8.0, 0.9, 0.0) == pytest.approx(G_OF_8, abs=1e-13)
         assert asymptotic_ent_assisted(11, 8.0, 0.9, 0.0) == pytest.approx(
             ASYM_EA_N11, abs=1e-12
+        )
+        assert asymptotic_ent_assisted(1, 0.5, 0.6, 2.0) == pytest.approx(
+            g_entropy(0.5) + delta_term(0.5, 0.6, 2.0), abs=1e-12
         )
 
     def test_odd_n_limits_match_optimizer(self):

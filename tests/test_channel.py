@@ -79,6 +79,8 @@ class TestOmega:
             spec = omega_spectrum(n)
             want = np.sort(2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))[::-1]
             assert np.max(np.abs(spec.lambdas - want)) < 1e-12
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            omega_spectrum(0)
 
     def test_spectrum_is_exactly_mirror_symmetric(self):
         for n in (2, 5, 10, 11):
@@ -144,6 +146,9 @@ class TestLocalMarginals:
         for k in range(1, 8):
             var = reduce_to_mode(cov, k)[0, 0]
             assert local_effective_temperature(cfg, k) == pytest.approx(var - 0.5, rel=1e-12)
+        for k in (0, 8):  # k is 1-based
+            with pytest.raises(ValueError, match="mode index"):
+                local_effective_temperature(cfg, k)
 
     def test_two_mode_closed_form(self):
         # n=2 weights are 1/2 on each normal mode with s_j = +-s

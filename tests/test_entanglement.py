@@ -99,7 +99,8 @@ class TestEnvironmentSeparability:
         for s, temp in ((math.nan, 0.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -0.1)):
             with pytest.raises(ValueError):
                 env_min_ppt_symplectic(s, temp)
-        for s_grid, temp_grid in (([1.0, math.nan], [0.0, 6.0]), ([1.0], [math.nan]), ([1.0], [0.0, math.inf])):
+        for s_grid, temp_grid in (([1.0, math.nan], [0.0, 6.0]), ([1.0], [math.nan]), ([1.0], [0.0, math.inf]),
+                                  ([], [0.0, 6.0]), ([1.0], [])):
             with pytest.raises(ValueError):
                 env_separability_scan(s_grid, temp_grid)
 

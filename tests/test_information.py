@@ -210,6 +210,9 @@ class TestCoherentInformation:
                     - coherent_information(*lo, mode, eta)
                 ) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-9)
+        # idle input into a pure, unsqueezed environment: nu_plus == nu_minus
+        with pytest.raises(ValueError, match="degenerate"):
+            coherent_information_gradient(0.0, 0.0, GlobalEnvMode(1, 0.0, 0.0), 0.9)
 
 
 class TestRotatedSeed:
