@@ -137,33 +137,23 @@ def classical_lower_analytic(cfg: ChannelConfig) -> AnalyticBound:
     return classical_lower_from_modes(env_global_modes(cfg), cfg.eta, cfg.nbar)
 
 
-def _thermal_chi(eta: float, temp: float):
-    """x -> g(eta x + (1-eta) temp) - g((1-eta) temp), a thermal attenuator's Holevo rate."""
-    base = g_entropy((1.0 - eta) * temp)
-    return lambda x: g_entropy(eta * x + (1.0 - eta) * temp) - base
-
-
-def _odd_n_limit(cfg: ChannelConfig, squeezed, *middle) -> float:
+def _odd_n_limit(cfg: ChannelConfig, squeezed, middle) -> float:
     """Infinite-squeezing limit per use of a rate that is additive over modes.
 
     Squeezed modes give squeezed(x) at x photons.  For odd n the unsqueezed
-    middle mode gives the sum of the ``middle`` terms at y photons, and y is
-    split optimally from the budget n * nbar; both callers' totals are
-    concave in y.
+    middle mode gives middle(y, eta, temp) at y photons, y split optimally
+    from the budget n * nbar; both callers' totals are concave in y.
     """
     n, nbar = cfg.n, cfg.nbar
     if n % 2 == 0:
         return squeezed(nbar)
+    if n == 1:
+        return middle(nbar, cfg.eta, cfg.temp)
     budget = n * nbar
 
     def total(y):
-        value = (n - 1) * squeezed((budget - y) / (n - 1)) if n > 1 else 0.0
-        for term in middle:
-            value += term(y)
-        return value
+        return (n - 1) * squeezed((budget - y) / (n - 1)) + middle(y, cfg.eta, cfg.temp)
 
-    if n == 1:
-        return total(nbar)
     _, best = _golden_max(total, 0.0, budget, 1e-10 * (1.0 + budget))
     return best / n
 
@@ -176,7 +166,7 @@ def classical_lower_asymptotic(n: int, nbar: float, eta: float, temp: float) -> 
     memoryless rate g(eta y + (1-eta) temp) - g((1-eta) temp) at y photons.
     """
     cfg = ChannelConfig(n=n, eta=eta, s=0.0, temp=temp, nbar=nbar)  # checks the domain
-    return _odd_n_limit(cfg, lambda x: math.log2(2.0 * x + 1.0), _thermal_chi(cfg.eta, cfg.temp))
+    return _odd_n_limit(cfg, lambda x: math.log2(2.0 * x + 1.0), _thermal_chi)
 
 
 def _thermal_gain(floor: float, rise: float) -> float:
@@ -192,6 +182,15 @@ def _thermal_gain(floor: float, rise: float) -> float:
     if floor > 0.0:
         gain -= floor * math.log1p(rise / (floor * (floor + rise + 1.0)))
     return gain
+
+
+def _thermal_chi(x: float, eta: float, temp: float) -> float:
+    """Holevo rate g(eta x + f) - g(f), f = max((1-eta) temp, 0), in bits, free of cancellation.
+
+    Coherent modulation reaches it on the thermal attenuator, an unsqueezed mode
+    (Holevo & Werner, PRA 63, 032312 (2001)); delta_term and _thermal_i give J and I.
+    """
+    return _thermal_gain(max((1.0 - eta) * temp, 0.0), eta * x) / math.log(2.0)
 
 
 def local_classical_lower(cfg: ChannelConfig) -> float:
@@ -245,6 +244,11 @@ def delta_term(nbar: float, eta: float, temp: float) -> float:
     return g_entropy(n_out) - g_entropy(big) - g_entropy(small)
 
 
+def _thermal_i(x: float, eta: float, temp: float) -> float:
+    """Mutual information g(x) + delta(x) of a thermal input through the thermal attenuator."""
+    return g_entropy(x) + delta_term(x, eta, temp)
+
+
 def asymptotic_quantum(n: int, nbar: float, eta: float, temp: float) -> float:
     """Infinite-squeezing limit of the quantum capacity.
 
@@ -266,4 +270,4 @@ def asymptotic_ent_assisted(n: int, nbar: float, eta: float, temp: float) -> flo
     at y photons.
     """
     cfg = ChannelConfig(n=n, eta=eta, s=0.0, temp=temp, nbar=nbar)  # checks the domain
-    return _odd_n_limit(cfg, g_entropy, g_entropy, lambda y: delta_term(y, cfg.eta, cfg.temp))
+    return _odd_n_limit(cfg, g_entropy, _thermal_i)

@@ -10,8 +10,8 @@ The two-mode output spectra needed for the coherent information factor into
 closed forms; the determinant of the joint output is evaluated through the
 cancellation-free products (1-eta)*c*b + eta/4 and (1-eta)*d*a + eta/4, and
 the smaller symplectic eigenvalue through det/nu_plus, which stays accurate
-when the state is nearly pure.  Analytic first derivatives are provided for
-every quantity so optimizer stationarity can be verified independently.
+when the state is nearly pure.  Analytic first derivatives (the coherent
+information's on that same spectrum) let optimizer stationarity be verified.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class EncodingParams:
     n_j: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if len({len(self.t), len(self.r), len(self.c_q), len(self.c_p)}) != 1:
-            raise ValueError("per-mode parameter lists must share one length")
+        if len({len(self.t), len(self.r), len(self.c_q), len(self.c_p)}) != 1 or not self.t:
+            raise ValueError("per-mode parameter lists must share one nonzero length")
         for name in ("t", "r", "c_q", "c_p"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         try:
@@ -126,40 +126,17 @@ def chi_mode_gradient(
     return (d_t, d_r) + _chi_modulation_slopes(aq, ap, eta)
 
 
-def _coherent_pieces(t, r, mode: GlobalEnvMode, eta):
-    a = (t + 0.5) * math.exp(r)
-    b = (t + 0.5) * math.exp(-r)
-    env_q, env_p = mode.variances
-    alpha = eta * a + (1.0 - eta) * env_q
-    beta = eta * b + (1.0 - eta) * env_p
-    det_out = alpha * beta
-    # joint (output, environment-purifier) invariants; the products below
-    # are the factored determinant with the eta*a*b cancellation done exactly
-    i2 = det_out + (1.0 - 2.0 * eta) * a * b + 0.5 * eta
-    pq = (1.0 - eta) * env_q * b + 0.25 * eta
-    pp = (1.0 - eta) * env_p * a + 0.25 * eta
-    return a, b, env_q, env_p, alpha, beta, det_out, i2, pq, pp
-
-
-def _nu_pair(i2, det_tau):
-    r = math.sqrt(max(i2 * i2 - 4.0 * det_tau, 0.0))
-    nu_plus = math.sqrt((i2 + r) / 2.0)
-    nu_minus = math.sqrt(max(det_tau, 0.0)) / nu_plus
-    return nu_plus, nu_minus, r
-
-
 def coherent_information(t: float, r: float, mode: GlobalEnvMode, eta: float) -> float:
     """Coherent information of one decoupled mode, in bits.
 
     Output entropy minus entropy exchange; zero for every pure input (t = 0)
     and nonpositive at eta = 0.
     """
-    # _coherent_pieces and _nu_pair written out, operation for operation: this
-    # is the inner solves' kernel, and tests hold the two forms equal
     a = (t + 0.5) * math.exp(r)
     b = (t + 0.5) * math.exp(-r)
     env_q, env_p = mode.variances
     det_out = (eta * a + (1.0 - eta) * env_q) * (eta * b + (1.0 - eta) * env_p)
+    # joint output-purifier invariants, det_tau with the eta*a*b cancellation done exactly
     i2 = det_out + (1.0 - 2.0 * eta) * a * b + 0.5 * eta
     det_tau = ((1.0 - eta) * env_q * b + 0.25 * eta) * ((1.0 - eta) * env_p * a + 0.25 * eta)
     disc = i2 * i2 - 4.0 * det_tau
@@ -180,9 +157,19 @@ def coherent_information_gradient(
     Requires t > 0 and a nondegenerate joint spectrum (nu_plus != nu_minus);
     both hold at generic interior points.
     """
-    a, b, env_q, env_p, alpha, beta, det_out, i2, pq, pp = _coherent_pieces(t, r, mode, eta)
+    a = (t + 0.5) * math.exp(r)
+    b = (t + 0.5) * math.exp(-r)
+    env_q, env_p = mode.variances
+    alpha = eta * a + (1.0 - eta) * env_q
+    beta = eta * b + (1.0 - eta) * env_p
+    det_out = alpha * beta
+    i2 = det_out + (1.0 - 2.0 * eta) * a * b + 0.5 * eta
+    pq = (1.0 - eta) * env_q * b + 0.25 * eta
+    pp = (1.0 - eta) * env_p * a + 0.25 * eta
     det_tau = pq * pp
-    nu_plus, nu_minus, rad = _nu_pair(i2, det_tau)
+    rad = math.sqrt(max(i2 * i2 - 4.0 * det_tau, 0.0))
+    nu_plus = math.sqrt((i2 + rad) / 2.0)
+    nu_minus = math.sqrt(max(det_tau, 0.0)) / nu_plus
     if rad <= 0.0:
         raise ValueError("degenerate joint spectrum; gradient undefined")
     sq_o = math.sqrt(det_out)

@@ -35,10 +35,10 @@ An unsqueezed mode (s_j = 0: every local mode, every mode at s = 0 and the
 middle mode at odd n) is a thermal attenuator, whose best Gaussian input at
 fixed energy is known (Holevo & Werner, PRA 63, 032312 (2001)): coherent
 modulation for the Holevo information, a thermal seed for J and I.  Its
-inner solve evaluates that input once and searches nothing.  J and I keep
-the search where the thermal value is not positive, since an exact zero
-there would move ``converged`` flags that certifying zero rates must settle
-first.
+inner solve evaluates that input's closed form in ``analytic`` once and
+searches nothing.  J and I keep the search where the thermal value is not
+positive, since an exact zero there would move ``converged`` flags that
+certifying zero rates must settle first.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import struct
 from dataclasses import dataclass
 
 from .allocation import _golden_max, allocate_photons
-from .analytic import classical_lower_from_modes, delta_term
+from .analytic import _thermal_chi, _thermal_i, classical_lower_from_modes, delta_term
 from .channel import (
     MAX_ABS_S,
     MAX_TEMP,
@@ -58,7 +58,6 @@ from .channel import (
     env_global_modes,
     local_effective_temperature,
 )
-from .gaussian import g_entropy
 from .information import (
     EncodingParams,
     _chi_modulation_slopes,
@@ -169,7 +168,7 @@ def _chi_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
     if nj <= 1e-13:
         return 0.0, _IDLE
     if mode.s == 0.0:
-        return chi_mode(0.0, 0.0, nj, nj, mode, eta), (0.0, 0.0, nj, nj)
+        return _thermal_chi(nj, eta, mode.temp), (0.0, 0.0, nj, nj)
     cap = nj + 0.5
 
     def split(r, f):
@@ -297,10 +296,6 @@ def _j_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
 def _i_inner(mode: GlobalEnvMode, eta: float, nj: float, earlier=None):
     """Best per-mode quantum mutual information at photon number nj."""
     return _seed_inner(quantum_mutual_information, _thermal_i, mode, eta, nj, earlier)
-
-
-def _thermal_i(nj: float, eta: float, temp: float) -> float:
-    return g_entropy(nj) + delta_term(nj, eta, temp)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from memchan.analytic import (
     local_classical_lower,
     m_parameter,
 )
-from memchan.channel import ChannelConfig, local_effective_temperature
+from memchan.channel import ChannelConfig, GlobalEnvMode, local_effective_temperature
 from memchan.gaussian import g_entropy
-from memchan.optimize import maximize_classical, maximize_ent_assisted, maximize_quantum
+from memchan.optimize import _chi_inner, maximize_classical, maximize_ent_assisted, maximize_quantum
 
 from reference_models import allocate_photons_per_entry, g_entropy_mp
 
@@ -134,6 +134,16 @@ class TestClassicalBounds:
         bound = classical_upper_bound(ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=8.0))
         assert (bound.value.hex(), bound.valid, bound.per_mode) == (value_hex, valid, ())
 
+    @pytest.mark.parametrize("n, eta, s", [
+        (33, 0.9999999999999999, 1e-8),
+        (8, 0.999999999999, 0.005855875113677911),
+    ])
+    def test_upper_bound_needs_nonnegative_photons(self, n, eta, s):
+        # at N = T = 0 the smallest water-filled n_j lands a few ulps below 0,
+        # while (n_j + 1/2)^2 - (k sinh s_j)^2 still reads 1/4: only n_j >= 0 fails
+        bound = classical_upper_bound(ChannelConfig(n=n, eta=eta, s=s, temp=0.0, nbar=0.0))
+        assert bound.valid is False
+
     def test_lower_bound_monotone_in_squeezing(self):
         for eta in (0.3, 0.6, 0.9):
             vals = [
@@ -203,7 +213,7 @@ class TestLocalRate:
                         if abs(rate - want) > 1e-13 * abs(want):
                             errs.append(f"{cfg}: {rate!r} against mpmath {want!r}")
                         temps = local_temps(cfg)
-                        fns = [_thermal_chi(eta, temp) for temp in temps]
+                        fns = [lambda x, temp=temp: _thermal_chi(x, eta, temp) for temp in temps]
                         oracle = local_rate_mp(cfg, temps, allocate_photons_per_entry(fns, nbar))
                         if rate < oracle - 4.0 * math.ulp(oracle):
                             errs.append(f"{cfg}: {rate!r} under the per-entry oracle {oracle!r}")
@@ -247,6 +257,35 @@ def delta_mp(nbar, eta, temp):
         d = mpmath.sqrt((nbar + n_out + 1) ** 2 - 4 * eta * nbar * (nbar + 1))
         return float(g_entropy_mp(n_out) - g_entropy_mp((d + n_out - nbar - 1) / 2)
                      - g_entropy_mp((d - n_out + nbar - 1) / 2))
+
+
+def thermal_chi_mp(x, eta, temp):
+    """g(eta x + (1-eta) T) - g((1-eta) T) of the same binary inputs, in 50 digits."""
+    with mpmath.workdps(50):
+        eta = mpmath.mpf(eta)
+        floor = (1 - eta) * mpmath.mpf(temp)
+        return float(g_entropy_mp(eta * mpmath.mpf(x) + floor) - g_entropy_mp(floor))
+
+
+class TestThermalAttenuator:
+    def test_holevo_rate_matches_mpmath(self):
+        # the unsqueezed chi solve and the n = 1 classical limit share one
+        # cancellation-free form; a difference of two g read 146% off at
+        # x = 1e-3, eta = 1e-6, T = 1e6, where the rise is 1e-15 of the floor
+        errs = []
+        for x in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 8.0, 1e4, 1e6):
+            for eta in (1e-6, 0.1, 0.55, 0.93, 1.0 - 1e-6):
+                for temp in (0.0, 1e-6, 0.5, 5.0, 1e3, 1e6):
+                    want = thermal_chi_mp(x, eta, temp)
+                    got = {
+                        "_thermal_chi": _thermal_chi(x, eta, temp),
+                        "_chi_inner": _chi_inner(GlobalEnvMode(1, 0.0, temp), eta, x)[0],
+                        "classical_lower_asymptotic": classical_lower_asymptotic(1, x, eta, temp),
+                    }
+                    for name, value in got.items():
+                        if abs(value - want) > 1e-13 * want:
+                            errs.append(f"{name} at x, eta, T = {x}, {eta}, {temp}: {value!r} against {want!r}")
+        assert not errs, "\n".join(errs)
 
 
 class TestDelta:

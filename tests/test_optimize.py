@@ -319,6 +319,15 @@ class TestInputDomain:
             bound = classical_upper_bound(ChannelConfig(n=n, eta=eta, s=s, temp=temp, nbar=nbar))
             assert math.isfinite(bound.value) and type(bound.valid) is bool, (n, eta, s, temp, nbar)
 
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="i2 cancels near eta = 1, so g_entropy reads nu_plus - 1/2 below 0 "
+                              "(-1.9e-9 at n = 2, -4.9e-4 at n = 33)")
+    @pytest.mark.parametrize("fn", [maximize_quantum, maximize_ent_assisted])
+    @pytest.mark.parametrize("n, temp", [(2, 0.0), (33, 1e6)])
+    def test_near_unit_transmission_is_finite(self, fn, n, temp):
+        res = fn(ChannelConfig(n=n, eta=0.9999999999999999, s=2.0, temp=temp, nbar=1e6))
+        assert math.isfinite(res.value) and res.value >= 0.0
+
     def test_budget_past_the_domain_is_rejected(self, capsys):
         # at N = 1e300 classical_upper_bound overflowed and the quantum optimizers raised mid-solve
         assert ChannelConfig(n=2, eta=0.9, s=0.5, temp=1.0, nbar=MAX_NBAR).nbar == MAX_NBAR
